@@ -1,13 +1,9 @@
 // Microbenchmarks (google-benchmark) of the hot kernels behind the
-// experiments: FFT, direct vs overlap-save FIR filtering, Welch PSD,
-// excision design, chip modulation/demodulation, despreading, a whole
-// frame reception, and the parallel Monte-Carlo runner at 1/2/4/8
-// threads. Not a paper figure — these quantify what the sample-domain
-// experiments cost and where the time goes.
-//
-// The *Seed variants benchmark verbatim copies of the pre-optimisation
-// kernels (modulo-branch FIR ring buffer, allocate-per-call overlap-save)
-// so the speedup of the allocation-free hot paths stays measurable.
+// experiments: FFT, overlap-save FIR filtering, Welch PSD, excision
+// design, chip modulation/demodulation, despreading, a whole frame
+// reception, and the parallel Monte-Carlo runner at 1/2/4/8 threads. Not
+// a paper figure — these quantify what the sample-domain experiments
+// cost and where the time goes.
 //
 // Accepts --json=PATH in addition to the native google-benchmark flags;
 // it expands to --benchmark_out=PATH --benchmark_out_format=json so the
@@ -32,7 +28,6 @@
 #include "dsp/fft.hpp"
 #include "dsp/fir.hpp"
 #include "dsp/psd.hpp"
-#include "dsp/real_fft.hpp"
 #include "dsp/simd/simd.hpp"
 #include "dsp/utils.hpp"
 #include "obs/link_obs.hpp"
@@ -66,18 +61,6 @@ void BM_Fft(benchmark::State& state) {
 }
 BENCHMARK(BM_Fft)->Arg(256)->Arg(1024)->Arg(4096);
 
-void BM_FirDirect(benchmark::State& state) {
-  const auto taps = static_cast<std::size_t>(state.range(0));
-  dsp::FirFilter fir{random_signal(taps, 2)};
-  const dsp::cvec x = random_signal(4096, 3);
-  for (auto _ : state) {
-    auto y = fir.process(x);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 4096);
-}
-BENCHMARK(BM_FirDirect)->Arg(16)->Arg(64)->Arg(256);
-
 void BM_FirOverlapSave(benchmark::State& state) {
   const auto taps = static_cast<std::size_t>(state.range(0));
   dsp::FftConvolver conv{dsp::cspan{random_signal(taps, 4)}};
@@ -90,81 +73,6 @@ void BM_FirOverlapSave(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 4096);
 }
 BENCHMARK(BM_FirOverlapSave)->Arg(64)->Arg(256)->Arg(1025);
-
-// ------------------------------------------------- seed-kernel comparisons
-
-/// Pre-optimisation FirFilter: modulo-branch ring buffer walk per tap.
-class SeedFirFilter {
- public:
-  explicit SeedFirFilter(dsp::cvec taps) : taps_(std::move(taps)), head_(0) {
-    history_.assign(taps_.size(), dsp::cf{0.0F, 0.0F});
-  }
-
-  dsp::cf process(dsp::cf in) noexcept {
-    history_[head_] = in;
-    dsp::cf acc{0.0F, 0.0F};
-    std::size_t idx = head_;
-    const std::size_t n = taps_.size();
-    for (std::size_t k = 0; k < n; ++k) {
-      acc += taps_[k] * history_[idx];
-      idx = (idx == 0) ? n - 1 : idx - 1;
-    }
-    head_ = (head_ + 1 == n) ? 0 : head_ + 1;
-    return acc;
-  }
-
- private:
-  dsp::cvec taps_;
-  dsp::cvec history_;
-  std::size_t head_;
-};
-
-void BM_FirDirectSeed(benchmark::State& state) {
-  const auto taps = static_cast<std::size_t>(state.range(0));
-  SeedFirFilter fir{random_signal(taps, 2)};
-  const dsp::cvec x = random_signal(4096, 3);
-  dsp::cvec y(x.size());
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < x.size(); ++i) y[i] = fir.process(x[i]);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 4096);
-}
-BENCHMARK(BM_FirDirectSeed)->Arg(16)->Arg(64)->Arg(256);
-
-/// Pre-optimisation FftConvolver: a fresh fft_size block every call.
-void BM_FirOverlapSaveSeed(benchmark::State& state) {
-  const auto n_taps = static_cast<std::size_t>(state.range(0));
-  const dsp::cvec taps = random_signal(n_taps, 4);
-  std::size_t fft_size = 2;
-  while (fft_size < std::max<std::size_t>(4 * n_taps, 1024)) fft_size <<= 1;
-  const std::size_t block_size = fft_size - n_taps + 1;
-  const dsp::Fft fft(fft_size);
-  const dsp::cvec taps_spectrum = fft.forward_copy(dsp::cspan{taps});
-  const dsp::cvec x = random_signal(4096, 5);
-  const std::size_t overlap = n_taps - 1;
-  for (auto _ : state) {
-    dsp::cvec out(x.size());
-    dsp::cvec block(fft_size);  // the per-call allocation under test
-    for (std::size_t pos = 0; pos < x.size(); pos += block_size) {
-      for (std::size_t i = 0; i < fft_size; ++i) {
-        const auto global =
-            static_cast<std::ptrdiff_t>(pos + i) - static_cast<std::ptrdiff_t>(overlap);
-        block[i] = (global >= 0 && global < static_cast<std::ptrdiff_t>(x.size()))
-                       ? x[static_cast<std::size_t>(global)]
-                       : dsp::cf{0.0F, 0.0F};
-      }
-      fft.forward(dsp::cspan_mut{block});
-      for (std::size_t i = 0; i < fft_size; ++i) block[i] *= taps_spectrum[i];
-      fft.inverse(dsp::cspan_mut{block});
-      const std::size_t n_valid = std::min(block_size, x.size() - pos);
-      for (std::size_t i = 0; i < n_valid; ++i) out[pos + i] = block[overlap + i];
-    }
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 4096);
-}
-BENCHMARK(BM_FirOverlapSaveSeed)->Arg(64)->Arg(256)->Arg(1025);
 
 void BM_WelchPsd(benchmark::State& state) {
   const dsp::cvec x = random_signal(16384, 6);
@@ -181,32 +89,6 @@ BENCHMARK(BM_WelchPsd);
 // Each vector kernel is benchmarked against its always-built scalar
 // reference under the same name prefix, so one JSONL documents the ISA
 // speedup on the machine that produced it.
-
-void BM_SimdFirBlock(benchmark::State& state) {
-  const auto n_taps = static_cast<std::size_t>(state.range(0));
-  const dsp::cvec taps = random_signal(n_taps, 11);
-  const dsp::cvec x = random_signal(4096 + n_taps - 1, 12);
-  dsp::cvec y(4096);
-  for (auto _ : state) {
-    dsp::simd::fir_filter_block(taps.data(), n_taps, x.data(), y.data(), y.size());
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 4096);
-}
-BENCHMARK(BM_SimdFirBlock)->Arg(16)->Arg(64)->Arg(256);
-
-void BM_ScalarFirBlock(benchmark::State& state) {
-  const auto n_taps = static_cast<std::size_t>(state.range(0));
-  const dsp::cvec taps = random_signal(n_taps, 11);
-  const dsp::cvec x = random_signal(4096 + n_taps - 1, 12);
-  dsp::cvec y(4096);
-  for (auto _ : state) {
-    dsp::simd::scalar::fir_filter_block(taps.data(), n_taps, x.data(), y.data(), y.size());
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 4096);
-}
-BENCHMARK(BM_ScalarFirBlock)->Arg(16)->Arg(64)->Arg(256);
 
 void BM_SimdDespread16(benchmark::State& state) {
   const dsp::cvec pairs = random_signal(16, 13);
@@ -249,35 +131,6 @@ void BM_CorrelateSearch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 8192);
 }
 BENCHMARK(BM_CorrelateSearch)->Arg(64)->Arg(512);
-
-void BM_WelchPsdReal(benchmark::State& state) {
-  std::mt19937 rng(16);
-  std::normal_distribution<float> dist(0.0F, 1.0F);
-  dsp::fvec x(16384);
-  for (float& v : x) v = dist(rng);
-  for (auto _ : state) {
-    auto psd = dsp::welch_psd_real(dsp::fspan{x}, 256);
-    benchmark::DoNotOptimize(psd.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 16384);
-}
-BENCHMARK(BM_WelchPsdReal);
-
-void BM_RealFft(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  dsp::RealFft rfft(n);
-  std::mt19937 rng(17);
-  std::normal_distribution<float> dist(0.0F, 1.0F);
-  dsp::fvec x(n);
-  for (float& v : x) v = dist(rng);
-  dsp::cvec out(n / 2 + 1);
-  for (auto _ : state) {
-    rfft.forward(dsp::fspan{x}, dsp::cspan_mut{out});
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_RealFft)->Arg(256)->Arg(1024)->Arg(4096);
 
 // ------------------------------------------------------ filter-design cache
 

@@ -53,7 +53,7 @@ class Param:
 
 @dataclass
 class FunctionInfo:
-    qname: str  # e.g. 'bhss::dsp::FirFilter::process'
+    qname: str  # e.g. 'bhss::dsp::FftConvolver::filter'
     file: str  # repo-relative posix path
     line: int
     params: list[Param] = field(default_factory=list)

@@ -261,28 +261,10 @@ LinkStats run_link(const SimConfig& cfg) {
 LinkStats merge_link_stats(const std::vector<LinkStats>& shards, std::size_t payload_len) {
   LinkStats total;
   for (const LinkStats& s : shards) {
-    total.packets += s.packets;
-    total.detected += s.detected;
-    total.ok += s.ok;
-    total.symbol_errors += s.symbol_errors;
-    total.total_symbols += s.total_symbols;
-    total.airtime_s += s.airtime_s;
-    total.sync_lost += s.sync_lost;
-    total.reacquired += s.reacquired;
-    total.filter_fallback += s.filter_fallback;
-    total.corrupt_input_rejected += s.corrupt_input_rejected;
-    total.faults_injected += s.faults_injected;
-    total.shard_timeout += s.shard_timeout;
-    total.shard_retried += s.shard_retried;
-    total.worker_restarts += s.worker_restarts;
-    total.worker_crashes += s.worker_crashes;
-    total.worker_drains += s.worker_drains;
-    total.adapt_transitions += s.adapt_transitions;
-    total.adapt_jam_episodes += s.adapt_jam_episodes;
-    total.adapt_fallbacks += s.adapt_fallbacks;
-    total.adapt_recoveries += s.adapt_recoveries;
-    total.adapt_windows_jammed += s.adapt_windows_jammed;
-    total.adapt_packets_adapted += s.adapt_packets_adapted;
+#define BHSS_LINK_STATS_SUM(type, name, summed) \
+  if constexpr (summed) total.name += s.name;
+    BHSS_LINK_STATS_FIELDS(BHSS_LINK_STATS_SUM)
+#undef BHSS_LINK_STATS_SUM
   }
   if (total.airtime_s > 0.0) {
     total.throughput_bps =

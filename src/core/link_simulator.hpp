@@ -82,50 +82,53 @@ struct SimConfig {
   adapt::AdaptConfig adapt{};
 };
 
+/// The LinkStats fields, in declaration and journal order, as
+/// X(type, name, summed). This one list generates the struct members,
+/// `merge_link_stats` and the checkpoint journal's S-record codec
+/// (runtime/journal_format.cpp), so a field added here reaches all of
+/// them. `summed` fields are added across shards; the others are
+/// recomputed from the merged totals. Reordering the list changes the
+/// journal bytes — a schema bump.
+#define BHSS_LINK_STATS_FIELDS(X)                                              \
+  X(std::size_t, packets, true)                                                \
+  X(std::size_t, detected, true)     /* frames whose preamble was acquired */  \
+  X(std::size_t, ok, true)           /* frames that passed the CRC */          \
+  X(std::size_t, symbol_errors, true)                                          \
+  X(std::size_t, total_symbols, true)                                          \
+  X(double, airtime_s, true)         /* total waveform time on air */          \
+  X(double, throughput_bps, false)   /* delivered payload bits / airtime */    \
+  /* Failure taxonomy (graceful degradation accounting): *how* frames were     \
+     lost or saved, not just how many. */                                      \
+  X(std::size_t, sync_lost, true)    /* bounded re-acquisition exhausted */    \
+  X(std::size_t, reacquired, true)   /* frames acquired on a retry attempt */  \
+  X(std::size_t, filter_fallback, true)  /* degenerate-PSD control fallbacks */ \
+  X(std::size_t, corrupt_input_rejected, true)  /* NaN/Inf-scrubbed captures */ \
+  X(std::size_t, faults_injected, true)  /* fault events applied */            \
+  /* Campaign-orchestration taxonomy (runtime::CampaignRunner): shards that    \
+     exhausted their watchdog budget and were quarantined (their packets are   \
+     missing from the merge — accounted, not silently lost), and shards that   \
+     timed out at least once but succeeded on a deterministic retry. */        \
+  X(std::size_t, shard_timeout, true)                                          \
+  X(std::size_t, shard_retried, true)                                          \
+  /* Distributed-fleet taxonomy (runtime::CampaignSupervisor): worker          \
+     processes respawned after a crash or hang, exits by signal or nonzero     \
+     status, and graceful drains (exit 75). */                                 \
+  X(std::size_t, worker_restarts, true)                                        \
+  X(std::size_t, worker_crashes, true)                                         \
+  X(std::size_t, worker_drains, true)                                          \
+  /* Closed-loop adaptation taxonomy (src/adapt). */                           \
+  X(std::size_t, adapt_transitions, true)     /* state-machine edges taken */  \
+  X(std::size_t, adapt_jam_episodes, true)    /* entries into DEGRADED */      \
+  X(std::size_t, adapt_fallbacks, true)       /* entries into FALLBACK */      \
+  X(std::size_t, adapt_recoveries, true)      /* returns to NOMINAL */         \
+  X(std::size_t, adapt_windows_jammed, true)  /* detector windows tripped */   \
+  X(std::size_t, adapt_packets_adapted, true) /* packets under a non-base plan */
+
 /// Aggregated link statistics.
 struct LinkStats {
-  std::size_t packets = 0;
-  std::size_t detected = 0;       ///< frames whose preamble was acquired
-  std::size_t ok = 0;             ///< frames that passed the CRC
-  std::size_t symbol_errors = 0;
-  std::size_t total_symbols = 0;
-  double airtime_s = 0.0;         ///< total waveform time on air
-  double throughput_bps = 0.0;    ///< delivered payload bits / airtime
-
-  // Failure taxonomy (graceful degradation accounting): *how* frames were
-  // lost or saved, not just how many. Merged across shards like the
-  // counters above.
-  std::size_t sync_lost = 0;      ///< bounded re-acquisition exhausted
-  std::size_t reacquired = 0;     ///< frames acquired on a retry attempt
-  std::size_t filter_fallback = 0;   ///< degenerate-PSD control-logic fallbacks
-  std::size_t corrupt_input_rejected = 0;  ///< captures with NaN/Inf scrubbed
-  std::size_t faults_injected = 0;  ///< fault events applied by the injector
-
-  // Campaign-orchestration taxonomy (runtime::CampaignRunner): shards that
-  // exhausted their watchdog budget and were quarantined (their packets are
-  // missing from the merge — accounted, not silently lost), and shards that
-  // timed out at least once but succeeded on a deterministic retry.
-  std::size_t shard_timeout = 0;  ///< shards quarantined after watchdog timeouts
-  std::size_t shard_retried = 0;  ///< shards recovered by a retry attempt
-
-  // Distributed-fleet taxonomy (runtime::CampaignSupervisor): how worker
-  // *processes* behaved while the campaign fanned out. Exit codes map to
-  // distinct counters — a graceful drain (exit 75) is recoverable and
-  // expected under SIGTERM; a crash (signal or nonzero exit) consumed a
-  // restart budget; a restart is the supervisor respawning a worker after
-  // a crash or hang. Summed across merges like everything above.
-  std::size_t worker_restarts = 0;  ///< worker processes respawned (crash/hang retry)
-  std::size_t worker_crashes = 0;   ///< worker exits by signal or nonzero status
-  std::size_t worker_drains = 0;    ///< workers that drained gracefully (exit 75)
-
-  // Closed-loop adaptation taxonomy (src/adapt): what the resilience
-  // controller did, summed across shards like everything above.
-  std::size_t adapt_transitions = 0;     ///< state-machine edges taken
-  std::size_t adapt_jam_episodes = 0;    ///< entries into DEGRADED
-  std::size_t adapt_fallbacks = 0;       ///< entries into FALLBACK
-  std::size_t adapt_recoveries = 0;      ///< completed returns to NOMINAL
-  std::size_t adapt_windows_jammed = 0;  ///< detector windows that tripped
-  std::size_t adapt_packets_adapted = 0; ///< packets sent under a non-base plan
+#define BHSS_LINK_STATS_MEMBER(type, name, summed) type name = 0;
+  BHSS_LINK_STATS_FIELDS(BHSS_LINK_STATS_MEMBER)
+#undef BHSS_LINK_STATS_MEMBER
 
   [[nodiscard]] double per() const noexcept {
     return packets == 0 ? 1.0

@@ -10,63 +10,6 @@
 
 namespace bhss::dsp {
 
-// ---------------------------------------------------------------- FirFilter
-
-FirFilter::FirFilter(cvec taps) : taps_(std::move(taps)), head_(0) {
-  BHSS_REQUIRE(!taps_.empty(), "FirFilter: taps must be non-empty");
-  BHSS_REQUIRE(all_finite(cspan{taps_}), "FirFilter: taps must be finite");
-  history_.assign(2 * taps_.size(), cf{0.0F, 0.0F});
-}
-
-FirFilter::FirFilter(fspan real_taps) : FirFilter(to_complex(real_taps)) {}
-
-void FirFilter::reset() noexcept {
-  std::fill(history_.begin(), history_.end(), cf{0.0F, 0.0F});
-  head_ = 0;
-}
-
-cf FirFilter::process(cf in) noexcept {
-  const std::size_t n = taps_.size();
-  history_[head_] = in;
-  history_[head_ + n] = in;
-  // Sample x[t-k] lives at slot head_ + n - k of the doubled history:
-  // a linear, branch-free walk over [head_ + 1, head_ + n].
-  const cf* hist = history_.data() + head_ + n;
-  const cf* taps = taps_.data();
-  cf acc{0.0F, 0.0F};
-  for (std::size_t k = 0; k < n; ++k) {
-    acc += taps[k] * *(hist - static_cast<std::ptrdiff_t>(k));
-  }
-  head_ = (head_ + 1 == n) ? 0 : head_ + 1;
-  return acc;
-}
-
-cvec FirFilter::process(cspan in) {
-  cvec out(in.size());
-  if (in.empty()) return out;
-  // Block path: same arithmetic and accumulation order as the per-sample
-  // overload, but laid out for the vectorized block kernel. At entry the
-  // previous n-1 samples sit contiguously, oldest first, at
-  // history_[head_+1 .. head_+n-1]; copying them in front of the input
-  // gives the kernel one flat buffer with no wrap logic.
-  const std::size_t n = taps_.size();
-  ext_.resize(n - 1 + in.size());
-  std::copy_n(history_.data() + head_ + 1, n - 1, ext_.begin());
-  std::copy(in.begin(), in.end(), ext_.begin() + static_cast<std::ptrdiff_t>(n - 1));
-  simd::fir_filter_block(taps_.data(), n, ext_.data(), out.data(), in.size());
-  // Rebuild the delay line: the last n samples of ext_ are the new
-  // history in ascending time order. With head_ = 0 the next per-sample
-  // call reads x[t-k] from slot n-k, so slot i must hold tail[i] (and its
-  // double at i+n keeps the doubled-history invariant for later heads).
-  const cf* tail = ext_.data() + ext_.size() - n;
-  for (std::size_t i = 0; i < n; ++i) {
-    history_[i] = tail[i];
-    history_[i + n] = tail[i];
-  }
-  head_ = 0;
-  return out;
-}
-
 // ------------------------------------------------------------- FftConvolver
 
 namespace {

@@ -7,8 +7,8 @@
 ///    eq. (4) of the paper),
 ///  * frequency-sampling "whitening" excision design (used against
 ///    narrow-band jammers, eq. (3) of the paper),
-///  * a stateful direct-form filter for streaming use and an
-///    overlap-save FFT convolver for fast block processing.
+///  * an overlap-save FFT convolver that applies either design to a
+///    hop's samples.
 
 #include <memory>
 
@@ -18,41 +18,6 @@
 #include "dsp/window.hpp"
 
 namespace bhss::dsp {
-
-/// Streaming direct-form FIR filter with complex taps.
-/// y[n] = sum_k taps[k] * x[n-k], with zero initial state.
-///
-/// The delay line is stored twice, back to back ("doubled history"), so
-/// the accumulation over the last N samples is a single linear walk —
-/// no per-tap wrap branch, and the compiler can vectorise the dot
-/// product. Each write costs two stores; each of the N reads costs
-/// nothing extra.
-class FirFilter {
- public:
-  /// Construct from complex taps; must be non-empty.
-  explicit FirFilter(cvec taps);
-
-  /// Construct from real taps (most designed filters are linear-phase real).
-  explicit FirFilter(fspan real_taps);
-
-  /// Clear the delay line.
-  void reset() noexcept;
-
-  /// Filter a single sample.
-  [[nodiscard]] BHSS_HOT cf process(cf in) noexcept;
-
-  /// Filter a block; output has the same length as input.
-  [[nodiscard]] cvec process(cspan in);
-
-  [[nodiscard]] const cvec& taps() const noexcept { return taps_; }
-  [[nodiscard]] std::size_t order() const noexcept { return taps_.size() - 1; }
-
- private:
-  cvec taps_;
-  cvec history_;      ///< doubled delay line: slot i and i + N hold the same sample
-  std::size_t head_;  ///< slot (in [0, N)) of the most recent sample
-  cvec ext_;          ///< block-path scratch: history prefix + input, contiguous
-};
 
 /// Immutable, shareable frequency-domain convolution plan: the tap
 /// spectrum plus the FFT geometry derived from the tap count. Building
@@ -71,10 +36,10 @@ struct ConvolverPlan {
   [[nodiscard]] static std::shared_ptr<const ConvolverPlan> make(cspan taps);
 };
 
-/// Overlap-save block convolver. Produces exactly the same output as a
-/// freshly reset FirFilter (causal, zero initial state, output length ==
-/// input length) but in O(N log N) — essential for the high filter orders
-/// the paper uses (up to 3181 taps).
+/// Overlap-save block convolver. Produces the same output as direct-form
+/// convolution y[n] = sum_k taps[k] * x[n-k] (causal, zero initial state,
+/// output length == input length) but in O(N log N) — essential for the
+/// high filter orders the paper uses (up to 3181 taps).
 ///
 /// A reusable FFT workspace lives in the convolver, so `filter` performs
 /// exactly one allocation (the output buffer) regardless of how many

@@ -49,29 +49,6 @@ inline __m256 dup_pairs(__m128 w) {
 
 }  // namespace
 
-void fir_filter_block(const cf* taps, std::size_t n_taps, const cf* x, cf* out,
-                      std::size_t n_out) {
-  std::size_t i = 0;
-  for (; i + 8 <= n_out; i += 8) {
-    __m256 acc0 = _mm256_setzero_ps();
-    __m256 acc1 = _mm256_setzero_ps();
-    // Outputs i..i+7 share the tap walk; for tap k their inputs are the
-    // contiguous run x[i + n_taps-1 - k ...], so both loads are unaligned
-    // vector loads, no shuffles.
-    const float* base = fp(x + i + n_taps - 1);
-    for (std::size_t k = 0; k < n_taps; ++k) {
-      const __m256 tr = _mm256_set1_ps(taps[k].real());
-      const __m256 ti = _mm256_set1_ps(taps[k].imag());
-      const float* p = base - 2 * k;
-      acc0 = _mm256_add_ps(acc0, cmul_bcast4(tr, ti, _mm256_loadu_ps(p)));
-      acc1 = _mm256_add_ps(acc1, cmul_bcast4(tr, ti, _mm256_loadu_ps(p + 8)));
-    }
-    _mm256_storeu_ps(fp(out + i), acc0);
-    _mm256_storeu_ps(fp(out + i + 4), acc1);
-  }
-  detail::fir_filter_block_scalar(taps, n_taps, x + i, out + i, n_out - i);
-}
-
 void fir_decimate_real(const float* taps, std::size_t n_taps, const cf* x, cf* out,
                        std::size_t n_out, std::size_t stride) {
   std::size_t m = 0;

@@ -14,7 +14,6 @@ namespace bhss::dsp::simd {
 #if defined(BHSS_SIMD_AVX2)
 
 namespace avx2 {
-void fir_filter_block(const cf*, std::size_t, const cf*, cf*, std::size_t);
 void fir_decimate_real(const float*, std::size_t, const cf*, cf*, std::size_t, std::size_t);
 void correlate_lags(const cf*, const cf*, std::size_t, cf*, std::size_t);
 void despread_correlate16(const cf*, std::size_t, const float*, const float*, const float*, cf*);
@@ -31,15 +30,6 @@ const bool kUseAvx2 = __builtin_cpu_supports("avx2") != 0;
 
 const char* active_isa() noexcept { return kUseAvx2 ? "avx2" : "scalar"; }
 bool vectorized() noexcept { return kUseAvx2; }
-
-void fir_filter_block(const cf* taps, std::size_t n_taps, const cf* x, cf* out,
-                      std::size_t n_out) {
-  if (kUseAvx2) {
-    avx2::fir_filter_block(taps, n_taps, x, out, n_out);
-  } else {
-    detail::fir_filter_block_scalar(taps, n_taps, x, out, n_out);
-  }
-}
 
 void fir_decimate_real(const float* taps, std::size_t n_taps, const cf* x, cf* out,
                        std::size_t n_out, std::size_t stride) {
@@ -110,7 +100,6 @@ void scale_pulse(float a, float b, const float* pulse, cf* out, std::size_t n) {
 #elif defined(BHSS_SIMD_NEON)
 
 namespace neon {
-void fir_filter_block(const cf*, std::size_t, const cf*, cf*, std::size_t);
 void fir_decimate_real(const float*, std::size_t, const cf*, cf*, std::size_t, std::size_t);
 void correlate_lags(const cf*, const cf*, std::size_t, cf*, std::size_t);
 void despread_correlate16(const cf*, std::size_t, const float*, const float*, const float*, cf*);
@@ -123,11 +112,6 @@ void scale_pulse(float, float, const float*, cf*, std::size_t);
 
 const char* active_isa() noexcept { return "neon"; }
 bool vectorized() noexcept { return true; }
-
-void fir_filter_block(const cf* taps, std::size_t n_taps, const cf* x, cf* out,
-                      std::size_t n_out) {
-  neon::fir_filter_block(taps, n_taps, x, out, n_out);
-}
 
 void fir_decimate_real(const float* taps, std::size_t n_taps, const cf* x, cf* out,
                        std::size_t n_out, std::size_t stride) {
@@ -163,11 +147,6 @@ void scale_pulse(float a, float b, const float* pulse, cf* out, std::size_t n) {
 
 const char* active_isa() noexcept { return "scalar"; }
 bool vectorized() noexcept { return false; }
-
-void fir_filter_block(const cf* taps, std::size_t n_taps, const cf* x, cf* out,
-                      std::size_t n_out) {
-  detail::fir_filter_block_scalar(taps, n_taps, x, out, n_out);
-}
 
 void fir_decimate_real(const float* taps, std::size_t n_taps, const cf* x, cf* out,
                        std::size_t n_out, std::size_t stride) {

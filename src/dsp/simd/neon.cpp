@@ -48,26 +48,6 @@ inline float32x4_t bcast_negeven(float v) {
 
 }  // namespace
 
-void fir_filter_block(const cf* taps, std::size_t n_taps, const cf* x, cf* out,
-                      std::size_t n_out) {
-  std::size_t i = 0;
-  for (; i + 4 <= n_out; i += 4) {
-    float32x4_t acc0 = vdupq_n_f32(0.0F);
-    float32x4_t acc1 = vdupq_n_f32(0.0F);
-    const float* base = fp(x + i + n_taps - 1);
-    for (std::size_t k = 0; k < n_taps; ++k) {
-      const float32x4_t tr = vdupq_n_f32(taps[k].real());
-      const float32x4_t tin = bcast_negeven(taps[k].imag());
-      const float* p = base - 2 * k;
-      acc0 = vaddq_f32(acc0, cmul_bcast2(tr, tin, vld1q_f32(p)));
-      acc1 = vaddq_f32(acc1, cmul_bcast2(tr, tin, vld1q_f32(p + 4)));
-    }
-    vst1q_f32(fp(out + i), acc0);
-    vst1q_f32(fp(out + i + 2), acc1);
-  }
-  detail::fir_filter_block_scalar(taps, n_taps, x + i, out + i, n_out - i);
-}
-
 void fir_decimate_real(const float* taps, std::size_t n_taps, const cf* x, cf* out,
                        std::size_t n_out, std::size_t stride) {
   detail::fir_decimate_real_scalar(taps, n_taps, x, out, n_out, stride);

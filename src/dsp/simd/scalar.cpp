@@ -3,11 +3,6 @@
 
 namespace bhss::dsp::simd::scalar {
 
-void fir_filter_block(const cf* taps, std::size_t n_taps, const cf* x, cf* out,
-                      std::size_t n_out) {
-  detail::fir_filter_block_scalar(taps, n_taps, x, out, n_out);
-}
-
 void fir_decimate_real(const float* taps, std::size_t n_taps, const cf* x, cf* out,
                        std::size_t n_out, std::size_t stride) {
   detail::fir_decimate_real_scalar(taps, n_taps, x, out, n_out, stride);

@@ -14,20 +14,6 @@
 
 namespace bhss::dsp::simd::detail {
 
-inline void fir_filter_block_scalar(const cf* taps, std::size_t n_taps, const cf* x, cf* out,
-                                    std::size_t n_out) {
-  BHSS_REQUIRE(taps != nullptr && x != nullptr && out != nullptr,
-               "fir_filter_block: null buffer");
-  for (std::size_t i = 0; i < n_out; ++i) {
-    const cf* base = x + i + n_taps - 1;
-    cf acc{0.0F, 0.0F};
-    for (std::size_t k = 0; k < n_taps; ++k) {
-      acc += taps[k] * *(base - static_cast<std::ptrdiff_t>(k));
-    }
-    out[i] = acc;
-  }
-}
-
 inline void fir_decimate_real_scalar(const float* taps, std::size_t n_taps, const cf* x, cf* out,
                                      std::size_t n_out, std::size_t stride) {
   BHSS_REQUIRE(taps != nullptr && x != nullptr && out != nullptr,

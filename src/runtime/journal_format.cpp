@@ -1,9 +1,12 @@
 #include "runtime/journal_format.hpp"
 
 #include <bit>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
+#include <cstring>
 #include <span>
+#include <system_error>
 
 #include "core/contracts.hpp"
 #include "phy/crc16.hpp"
@@ -57,40 +60,62 @@ bool parse_header(const std::string& body, Header& out) {
   return true;
 }
 
+namespace {
+
+// One token per LinkStats field: counters in decimal, doubles as their
+// 16-hex-digit IEEE-754 bit pattern.
+void append_token(std::string& out, std::size_t v) { out += std::to_string(v); }
+
+void append_token(std::string& out, double v) {
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016" PRIx64, std::bit_cast<std::uint64_t>(v));
+  out += hex;
+}
+
+// Strict token readers: digits only (no sign, no leading space, no
+// overflow), and a double must be exactly 16 hex digits.
+bool read_token(const char*& p, const char* end, std::size_t& v) {
+  const auto [next, ec] = std::from_chars(p, end, v);
+  if (ec != std::errc{}) return false;
+  p = next;
+  return true;
+}
+
+bool read_token(const char*& p, const char* end, double& v) {
+  static constexpr std::ptrdiff_t kHexDigits = 16;
+  if (end - p < kHexDigits) return false;
+  std::uint64_t bits = 0;
+  const auto [next, ec] = std::from_chars(p, p + kHexDigits, bits, 16);
+  if (ec != std::errc{} || next != p + kHexDigits) return false;
+  v = std::bit_cast<double>(bits);
+  p = next;
+  return true;
+}
+
+}  // namespace
+
 std::string format_stats(const core::LinkStats& s) {
-  char buf[640];
-  std::snprintf(buf, sizeof(buf),
-                "%zu %zu %zu %zu %zu %016" PRIx64 " %016" PRIx64
-                " %zu %zu %zu %zu %zu %zu %zu %zu %zu %zu %zu %zu %zu %zu %zu %zu",
-                s.packets, s.detected, s.ok, s.symbol_errors, s.total_symbols,
-                std::bit_cast<std::uint64_t>(s.airtime_s),
-                std::bit_cast<std::uint64_t>(s.throughput_bps), s.sync_lost, s.reacquired,
-                s.filter_fallback, s.corrupt_input_rejected, s.faults_injected,
-                s.shard_timeout, s.shard_retried, s.worker_restarts, s.worker_crashes,
-                s.worker_drains, s.adapt_transitions, s.adapt_jam_episodes,
-                s.adapt_fallbacks, s.adapt_recoveries, s.adapt_windows_jammed,
-                s.adapt_packets_adapted);
-  return buf;
+  std::string out;
+#define BHSS_FORMAT_FIELD(type, name, summed) \
+  if (!out.empty()) out += ' ';               \
+  append_token(out, s.name);
+  BHSS_LINK_STATS_FIELDS(BHSS_FORMAT_FIELD)
+#undef BHSS_FORMAT_FIELD
+  return out;
 }
 
 bool parse_stats(const char* text, core::LinkStats& s) {
   BHSS_REQUIRE(text != nullptr, "journal::parse_stats: null text");
-  std::uint64_t airtime_bits = 0;
-  std::uint64_t throughput_bits = 0;
-  const int n = std::sscanf(
-      text,
-      "%zu %zu %zu %zu %zu %" SCNx64 " %" SCNx64 " %zu %zu %zu %zu %zu %zu %zu %zu %zu %zu "
-      "%zu %zu %zu %zu %zu %zu",
-      &s.packets, &s.detected, &s.ok, &s.symbol_errors, &s.total_symbols, &airtime_bits,
-      &throughput_bits, &s.sync_lost, &s.reacquired, &s.filter_fallback,
-      &s.corrupt_input_rejected, &s.faults_injected, &s.shard_timeout, &s.shard_retried,
-      &s.worker_restarts, &s.worker_crashes, &s.worker_drains, &s.adapt_transitions,
-      &s.adapt_jam_episodes, &s.adapt_fallbacks, &s.adapt_recoveries,
-      &s.adapt_windows_jammed, &s.adapt_packets_adapted);
-  if (n != 23) return false;
-  s.airtime_s = std::bit_cast<double>(airtime_bits);
-  s.throughput_bps = std::bit_cast<double>(throughput_bits);
-  return true;
+  const char* p = text;
+  const char* const end = text + std::strlen(text);
+  // Every field but the first follows exactly one space (a successful read
+  // always advances p, so p != text means a field has been read).
+#define BHSS_PARSE_FIELD(type, name, summed)                    \
+  if (p != text && (p == end || *p++ != ' ')) return false;     \
+  if (!read_token(p, end, s.name)) return false;
+  BHSS_LINK_STATS_FIELDS(BHSS_PARSE_FIELD)
+#undef BHSS_PARSE_FIELD
+  return p == end;  // nothing may follow the last field
 }
 
 }  // namespace bhss::runtime::journal

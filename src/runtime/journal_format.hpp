@@ -54,13 +54,16 @@ struct Header {
 /// header at all (wrong magic / missing fields).
 [[nodiscard]] bool parse_header(const std::string& body, Header& out);
 
-/// LinkStats fields in journal order. Doubles travel as IEEE-754 bit
-/// patterns: the replayed merge must reproduce the uninterrupted run's
-/// statistics bit for bit, and "%.17g" round-trips are one parser bug
-/// away from silently breaking that.
+/// LinkStats fields in journal order (the order of BHSS_LINK_STATS_FIELDS),
+/// one space between tokens. Doubles travel as IEEE-754 bit patterns: the
+/// replayed merge must reproduce the uninterrupted run's statistics bit
+/// for bit, and "%.17g" round-trips are one parser bug away from silently
+/// breaking that.
 [[nodiscard]] std::string format_stats(const core::LinkStats& s);
 
-/// Inverse of format_stats; returns false on any token mismatch.
+/// Inverse of format_stats; returns false on any token mismatch: a
+/// missing or extra token, a sign, a non-digit, a counter that overflows
+/// size_t, or a double that is not exactly 16 hex digits.
 [[nodiscard]] bool parse_stats(const char* text, core::LinkStats& s);
 
 }  // namespace bhss::runtime::journal

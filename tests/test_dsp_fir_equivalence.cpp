@@ -1,9 +1,8 @@
-// Equivalence tests pinning the optimised DSP hot paths to the seed
-// implementations they replaced: the doubled-history FirFilter against
-// the original modulo-branch ring buffer, and the workspace-reusing
-// FftConvolver against the original allocate-per-call overlap-save.
-// Both rewrites perform the same arithmetic in the same order, so the
-// tolerance is 1 ulp (and in practice the outputs are bit-identical).
+// Equivalence tests pinning the optimised FFT convolver to the seed
+// implementation it replaced: the workspace-reusing FftConvolver against
+// the original allocate-per-call overlap-save. The rewrite performs the
+// same arithmetic in the same order, so the tolerance is 1 ulp (and in
+// practice the outputs are bit-identical).
 
 #include <gtest/gtest.h>
 
@@ -52,39 +51,8 @@ void expect_within_one_ulp(const cvec& a, const cvec& b) {
 }
 
 // ---------------------------------------------------- seed implementations
-// Verbatim copies of the pre-optimisation kernels (PR 2 seed state), kept
+// Verbatim copy of the pre-optimisation convolver (the seed state), kept
 // here as the reference the production code is pinned to.
-
-class SeedFirFilter {
- public:
-  explicit SeedFirFilter(cvec taps) : taps_(std::move(taps)), head_(0) {
-    history_.assign(taps_.size(), cf{0.0F, 0.0F});
-  }
-
-  cf process(cf in) noexcept {
-    history_[head_] = in;
-    cf acc{0.0F, 0.0F};
-    std::size_t idx = head_;
-    const std::size_t n = taps_.size();
-    for (std::size_t k = 0; k < n; ++k) {
-      acc += taps_[k] * history_[idx];
-      idx = (idx == 0) ? n - 1 : idx - 1;
-    }
-    head_ = (head_ + 1 == n) ? 0 : head_ + 1;
-    return acc;
-  }
-
-  cvec process(cspan in) {
-    cvec out(in.size());
-    for (std::size_t i = 0; i < in.size(); ++i) out[i] = process(in[i]);
-    return out;
-  }
-
- private:
-  cvec taps_;
-  cvec history_;
-  std::size_t head_;
-};
 
 class SeedFftConvolver {
  public:
@@ -130,46 +98,6 @@ class SeedFftConvolver {
   Fft fft_;
   cvec taps_spectrum_;
 };
-
-// ----------------------------------------------------------------- FirFilter
-
-class FirEquivalence : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(FirEquivalence, MatchesSeedRingBufferOnRandomInput) {
-  const std::size_t n_taps = GetParam();
-  const cvec taps = random_signal(n_taps, 11U + static_cast<unsigned>(n_taps));
-  FirFilter fast{taps};
-  SeedFirFilter seed{taps};
-  const cvec x = random_signal(777, 29U + static_cast<unsigned>(n_taps));
-  expect_within_one_ulp(fast.process(x), seed.process(x));
-}
-
-TEST_P(FirEquivalence, MatchesSeedAcrossResetAndStreaming) {
-  const std::size_t n_taps = GetParam();
-  const cvec taps = random_signal(n_taps, 5);
-  FirFilter fast{taps};
-  SeedFirFilter seed{taps};
-  const cvec x = random_signal(2 * n_taps + 3, 6);
-  // Sample-by-sample streaming...
-  for (const cf v : x) {
-    const cf a = fast.process(v);
-    const cf b = seed.process(v);
-    EXPECT_LE(ulp_diff(a.real(), b.real()), 1);
-    EXPECT_LE(ulp_diff(a.imag(), b.imag()), 1);
-  }
-  // ...and the state is fully cleared by reset().
-  fast.reset();
-  const cvec y1 = fast.process(x);
-  FirFilter fresh{taps};
-  const cvec y2 = fresh.process(x);
-  expect_within_one_ulp(y1, y2);
-}
-
-INSTANTIATE_TEST_SUITE_P(TapCounts, FirEquivalence,
-                         ::testing::Values(std::size_t{1}, std::size_t{2}, std::size_t{3},
-                                           std::size_t{7}, std::size_t{33}, std::size_t{64},
-                                           std::size_t{255}),
-                         ::testing::PrintToStringParamName());
 
 // --------------------------------------------------------------- FftConvolver
 

@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "dsp/fir.hpp"
 #include "dsp/simd/simd.hpp"
 #include "dsp/types.hpp"
 #include "phy/chip_table.hpp"
@@ -67,26 +66,6 @@ TEST(DspSimd, ActiveIsaIsConsistent) {
   const std::string isa = simd::active_isa();
   EXPECT_TRUE(isa == "avx2" || isa == "neon" || isa == "scalar") << isa;
   EXPECT_EQ(simd::vectorized(), isa != "scalar");
-}
-
-TEST(DspSimd, FirFilterBlockMatchesScalarBitExact) {
-  for (std::size_t n_taps : {std::size_t{1}, std::size_t{3}, std::size_t{8}, std::size_t{17}}) {
-    for (std::size_t n_out = 1; n_out <= kMaxLen; ++n_out) {
-      for (std::size_t off = 0; off <= kMaxOffset; ++off) {
-        Offset<cf> taps(n_taps, off);
-        Offset<cf> x(n_out + n_taps - 1, off);
-        fill(taps.p, n_taps);
-        fill(x.p, n_out + n_taps - 1);
-        std::vector<cf> got(n_out);
-        std::vector<cf> want(n_out);
-        simd::fir_filter_block(taps.p, n_taps, x.p, got.data(), n_out);
-        simd::scalar::fir_filter_block(taps.p, n_taps, x.p, want.data(), n_out);
-        expect_same_bits(got.data(), want.data(), n_out,
-                         "fir_filter_block taps=" + std::to_string(n_taps) +
-                             " n=" + std::to_string(n_out) + " off=" + std::to_string(off));
-      }
-    }
-  }
 }
 
 TEST(DspSimd, FirDecimateRealMatchesScalarBitExact) {
@@ -215,30 +194,6 @@ TEST(DspSimd, ElementwiseKernelsMatchScalarBitExact) {
       simd::scale_pulse(pa, pb, w.p, got.data(), n);
       simd::scalar::scale_pulse(pa, pb, w.p, want.data(), n);
       expect_same_bits(got.data(), want.data(), n, "scale_pulse" + suffix);
-    }
-  }
-}
-
-/// The block path of FirFilter (which feeds fir_filter_block and rebuilds
-/// the doubled delay line afterwards) must be indistinguishable from the
-/// per-sample streaming path — including across a *sequence* of blocks of
-/// awkward lengths, which exercises the history handoff between calls.
-TEST(DspSimd, FirFilterBlockPathMatchesStreamingBitExact) {
-  for (std::size_t n_taps : {std::size_t{1}, std::size_t{7}, std::size_t{16}, std::size_t{33}}) {
-    cvec taps(n_taps);
-    fill(taps.data(), n_taps);
-    FirFilter block_path{taps};
-    FirFilter stream_path{taps};
-    for (std::size_t block_len : {std::size_t{1}, std::size_t{2}, std::size_t{5}, std::size_t{0},
-                                  std::size_t{31}, std::size_t{64}, std::size_t{3}}) {
-      cvec in(block_len);
-      fill(in.data(), block_len);
-      const cvec got = block_path.process(cspan{in});
-      cvec want(block_len);
-      for (std::size_t i = 0; i < block_len; ++i) want[i] = stream_path.process(in[i]);
-      expect_same_bits(got.data(), want.data(), block_len,
-                       "FirFilter block taps=" + std::to_string(n_taps) +
-                           " len=" + std::to_string(block_len));
     }
   }
 }

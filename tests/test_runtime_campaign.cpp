@@ -2,7 +2,8 @@
 // round-trips (bit-exact stats, CRC rejection, torn-tail truncation,
 // header validation), CampaignRunner kill-and-resume determinism at 1 and
 // 8 threads, the per-shard watchdog (retry then quarantine), the graceful
-// drain protocol, and merge_link_stats degenerate inputs.
+// drain protocol, the S-record stats codec, and merge_link_stats
+// degenerate inputs.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -21,6 +22,7 @@
 #include "obs/link_obs.hpp"
 #include "runtime/campaign.hpp"
 #include "runtime/checkpoint_journal.hpp"
+#include "runtime/journal_format.hpp"
 #include "runtime/parallel_link_runner.hpp"
 
 namespace bhss::runtime {
@@ -688,6 +690,66 @@ TEST(CampaignRunner, InterruptDrainsAndResumeCompletes) {
   CampaignRunner resumed({.n_threads = 2, .n_shards = 8}, &journal);
   expect_identical(resumed.run_point("pt", cfg), expected);
   std::remove(path.c_str());
+}
+
+// ------------------------------------------------------- S-record codec
+
+/// Every field set to its 1-based journal position (doubles to exact
+/// binary fractions), so a reordered field list shows in the pinned line.
+core::LinkStats numbered_stats() {
+  core::LinkStats s;
+  s.packets = 1;
+  s.detected = 2;
+  s.ok = 3;
+  s.symbol_errors = 4;
+  s.total_symbols = 5;
+  s.airtime_s = 0.5;
+  s.throughput_bps = 1.0;
+  s.sync_lost = 8;
+  s.reacquired = 9;
+  s.filter_fallback = 10;
+  s.corrupt_input_rejected = 11;
+  s.faults_injected = 12;
+  s.shard_timeout = 13;
+  s.shard_retried = 14;
+  s.worker_restarts = 15;
+  s.worker_crashes = 16;
+  s.worker_drains = 17;
+  s.adapt_transitions = 18;
+  s.adapt_jam_episodes = 19;
+  s.adapt_fallbacks = 20;
+  s.adapt_recoveries = 21;
+  s.adapt_windows_jammed = 22;
+  s.adapt_packets_adapted = 23;
+  return s;
+}
+
+constexpr const char* kNumberedLine =
+    "1 2 3 4 5 3fe0000000000000 3ff0000000000000 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23";
+
+TEST(JournalFormat, StatsLineIsPinned) {
+  EXPECT_EQ(journal::format_stats(numbered_stats()), kNumberedLine);
+  core::LinkStats parsed;
+  ASSERT_TRUE(journal::parse_stats(kNumberedLine, parsed));
+  EXPECT_EQ(journal::format_stats(parsed), kNumberedLine);
+}
+
+TEST(JournalFormat, ParseStatsRejectsMalformedRecords) {
+  const std::string line = kNumberedLine;
+  core::LinkStats parsed;
+  // A negative counter (sscanf's %zu would store -1 as SIZE_MAX).
+  const std::string negative = line.substr(0, line.find(" 8 ")) + " -1" +
+                               line.substr(line.find(" 8 ") + 2);
+  EXPECT_FALSE(journal::parse_stats(negative.c_str(), parsed)) << negative;
+  // A token after the last field.
+  EXPECT_FALSE(journal::parse_stats((line + " 24").c_str(), parsed));
+  // A missing field, a short double and an overflowing counter.
+  EXPECT_FALSE(journal::parse_stats(line.substr(0, line.rfind(' ')).c_str(), parsed));
+  EXPECT_FALSE(journal::parse_stats("1 2 3 4 5 3fe 3ff0000000000000 8 9 10 11 12 13 14 15 "
+                                    "16 17 18 19 20 21 22 23",
+                                    parsed));
+  EXPECT_FALSE(journal::parse_stats(("99999999999999999999999" + line.substr(1)).c_str(),
+                                    parsed));
 }
 
 // ------------------------------------------------- merge_link_stats edges

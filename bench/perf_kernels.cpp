@@ -30,6 +30,7 @@
 #include "dsp/psd.hpp"
 #include "dsp/simd/simd.hpp"
 #include "dsp/utils.hpp"
+#include "jammer/noise_jammer.hpp"
 #include "obs/link_obs.hpp"
 #include "phy/chip_table.hpp"
 #include "phy/modulator.hpp"
@@ -248,6 +249,35 @@ void BM_FullFrameReceive(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(sig.size()));
 }
 BENCHMARK(BM_FullFrameReceive);
+
+// ------------------------------------------------ Gaussian synthesis stages
+//
+// The AWGN channel and the noise jammer are the two Gaussian consumers of
+// every simulated packet. 28672 samples is one jammed capture of the
+// benchmark's link (the jammer draws another 2049 for its shaping filter's
+// lead-in).
+
+void BM_AwgnAddTo(benchmark::State& state) {
+  channel::AwgnSource noise(8);
+  dsp::cvec x(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    noise.add_to(dsp::cspan_mut{x}, 1.0);
+    benchmark::DoNotOptimize(x.data());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_AwgnAddTo)->Arg(28672);
+
+void BM_NoiseJammerGenerate(benchmark::State& state) {
+  jammer::NoiseJammer jam(0.1, 7);
+  const auto n = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    const dsp::cvec out = jam.generate(n);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_NoiseJammerGenerate)->Arg(28672);
 
 // ----------------------------------------------------- parallel Monte-Carlo
 

@@ -27,6 +27,7 @@ from .cpp_model import (
     FunctionInfo,
     Param,
 )
+from .frontend_lite import RNG_DISTRIBUTION_TYPES, rng_kind
 
 HOT_ANNOTATION_PAYLOAD = "bhss_hot"
 
@@ -40,7 +41,8 @@ _MUTEX_TYPES = ("mutex", "lock_guard", "unique_lock", "scoped_lock",
 _IO_CALLEES = {"printf", "fprintf", "fopen", "fwrite", "fread", "fflush",
                "puts", "operator<<"}
 _RNG_TYPES = ("random_device", "mt19937", "minstd_rand",
-              "default_random_engine", "ranlux")
+              "default_random_engine", "ranlux", "knuth_b",
+              *sorted(RNG_DISTRIBUTION_TYPES))
 _UNORDERED = ("unordered_map", "unordered_set", "unordered_multimap",
               "unordered_multiset")
 
@@ -163,7 +165,26 @@ def parse_tu(model: CodeModel, path: Path, rel: str, args: list[str],
                         )
                         break
 
+    def lower_field(cursor) -> None:
+        """An RNG engine/distribution held as a class member is a D2 event
+        of its file (no function body owns it)."""
+        r = rel_of(cursor)
+        ts = cursor.type.spelling if cursor.type else ""
+        if r is None or not any(t in ts for t in _RNG_TYPES):
+            return
+        base = _sketch(ts)
+        # Same detail text as the lite lowering, so the header pass (lite
+        # runs over headers in every mode) and TUs recording one member
+        # collapse to one event.
+        ev = (r, cursor.location.line, EV_RNG,
+              f"member '{cursor.spelling}' of RNG {rng_kind(base) or 'engine'} type '{base}'")
+        if ev not in model.file_events:
+            model.file_events.append(ev)
+
     for cursor in tu.cursor.walk_preorder():
+        if cursor.kind == ck.FIELD_DECL:
+            lower_field(cursor)
+            continue
         if cursor.kind not in fn_kinds:
             continue
         r = rel_of(cursor)

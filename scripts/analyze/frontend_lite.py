@@ -79,6 +79,28 @@ RNG_ENGINE_TYPES = {
     "default_random_engine", "ranlux24", "ranlux48", "knuth_b",
     "random_device",
 }
+# <random> distributions: their output is implementation-defined, so even a
+# SharedRandom-fed distribution would not replay across standard libraries.
+RNG_DISTRIBUTION_TYPES = {
+    "uniform_int_distribution", "uniform_real_distribution",
+    "bernoulli_distribution", "binomial_distribution", "geometric_distribution",
+    "negative_binomial_distribution", "poisson_distribution",
+    "exponential_distribution", "gamma_distribution", "weibull_distribution",
+    "extreme_value_distribution", "normal_distribution",
+    "lognormal_distribution", "chi_squared_distribution", "cauchy_distribution",
+    "fisher_f_distribution", "student_t_distribution", "discrete_distribution",
+    "piecewise_constant_distribution", "piecewise_linear_distribution",
+}
+ACCESS_SPECIFIERS = {"public", "private", "protected"}
+
+
+def rng_kind(base: str) -> str:
+    """'engine' / 'distribution' for a std <random> type name, else ''."""
+    if base in RNG_ENGINE_TYPES:
+        return "engine"
+    if base in RNG_DISTRIBUTION_TYPES:
+        return "distribution"
+    return ""
 UNORDERED_TYPES = {"unordered_map", "unordered_set", "unordered_multimap",
                    "unordered_multiset"}
 CONTRACT_MACROS = {"BHSS_REQUIRE", "BHSS_ENSURE", "BHSS_DEBUG_ASSERT"}
@@ -190,9 +212,12 @@ class _Parser:
                 continue
             if txt == "{":
                 # Brace at declaration scope that is not a function body we
-                # recognised (e.g. a braced initializer): skip it whole.
+                # recognised (e.g. a braced initializer): skip it whole. A
+                # braced member initializer (`T name_{...};`) keeps its
+                # declaration open so the ';' branch still registers it.
                 i = match_group(toks, i) + 1
-                decl_start = i
+                if not (i < n and toks[i].text == ";"):
+                    decl_start = i
                 continue
             if txt == "(":
                 ni, nd = self._try_function(decl_start, i)
@@ -304,6 +329,9 @@ class _Parser:
             return
         toks = self.toks
         head = toks[decl_start:semi]
+        # Access labels (`private:`) open the declaration that follows.
+        while len(head) >= 2 and head[0].text in ACCESS_SPECIFIERS and head[1].text == ":":
+            head = head[2:]
         if not head or any(t.text in ("(", ")") for t in head):
             return
         # Drop initializers: `int x = 3;` / `cvec v{};` / bitfields.
@@ -320,9 +348,10 @@ class _Parser:
         cls = self._cur_class()
         self.model.add_member(cls, name, sketch)
         base = sketch.rstrip("*")
-        if base in RNG_ENGINE_TYPES:
+        rng = rng_kind(base)
+        if rng:
             self.model_file_event(EV_RNG, head[-1].line,
-                                  f"member '{name}' of RNG engine type '{base}'")
+                                  f"member '{name}' of RNG {rng} type '{base}'")
         if base in MUTEX_TYPES:
             # Member mutexes are fine per se; they matter when locked (H1).
             pass
@@ -332,7 +361,9 @@ class _Parser:
         if events is None:
             events = []
             self.model.file_events = events  # type: ignore[attr-defined]
-        events.append((self.rel, line, kind, detail))
+        ev = (self.rel, line, kind, detail)
+        if ev not in events:  # a header may be lowered by both frontends
+            events.append(ev)
 
     # ------------------------------------------------- function recognition
 
@@ -668,8 +699,8 @@ def _extract_events(fn: FunctionInfo, toks: list[Tok], body_open: int,
             ev.append(Event(EV_RNG, t.line, detail="std::random_device"))
             j += 1
             continue
-        if kind == KIND_ID and txt in RNG_ENGINE_TYPES and nxt != "(":
-            ev.append(Event(EV_RNG, t.line, detail=f"std RNG engine '{txt}'"))
+        if kind == KIND_ID and rng_kind(txt) and nxt != "(":
+            ev.append(Event(EV_RNG, t.line, detail=f"std RNG {rng_kind(txt)} '{txt}'"))
             j += 1
             continue
         if txt == "reinterpret_cast" and nxt == "<":
@@ -844,8 +875,8 @@ def _try_local_decl(fn: FunctionInfo, toks: list[Tok], j: int, body_close: int,
     line = name_tok.line
     if base in MUTEX_GUARD_TYPES or base in MUTEX_TYPES:
         ev.append(Event(EV_MUTEX, line, detail=f"'{name_tok.text}' is a {base}"))
-    elif base in RNG_ENGINE_TYPES:
-        ev.append(Event(EV_RNG, line, detail=f"local std RNG engine '{base}'"))
+    elif rng_kind(base):
+        ev.append(Event(EV_RNG, line, detail=f"local std RNG {rng_kind(base)} '{base}'"))
     elif base in IO_STREAM_TYPES:
         ev.append(Event(EV_IO, line, detail=f"'{name_tok.text}' is a {base}"))
     elif base in VECTOR_TYPES and after in ("(", "{"):

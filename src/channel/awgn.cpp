@@ -1,24 +1,13 @@
 #include "channel/awgn.hpp"
 
-#include <cmath>
-
 namespace bhss::channel {
-
-dsp::cf AwgnSource::sample(double power) {
-  const auto sigma = static_cast<float>(std::sqrt(power / 2.0));
-  return dsp::cf{sigma * normal_(rng_), sigma * normal_(rng_)};
-}
 
 dsp::cvec AwgnSource::generate(std::size_t n, double power) {
   dsp::cvec out(n);
-  const auto sigma = static_cast<float>(std::sqrt(power / 2.0));
-  for (dsp::cf& s : out) s = dsp::cf{sigma * normal_(rng_), sigma * normal_(rng_)};
+  rng_.add_gaussian(out, power);
   return out;
 }
 
-void AwgnSource::add_to(dsp::cspan_mut x, double power) {
-  const auto sigma = static_cast<float>(std::sqrt(power / 2.0));
-  for (dsp::cf& s : x) s += dsp::cf{sigma * normal_(rng_), sigma * normal_(rng_)};
-}
+void AwgnSource::add_to(dsp::cspan_mut x, double power) { rng_.add_gaussian(x, power); }
 
 }  // namespace bhss::channel

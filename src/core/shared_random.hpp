@@ -10,8 +10,17 @@
 ///
 /// Implemented as xoshiro256** — small, fast, reproducible across
 /// platforms (unlike std::mt19937_64's distribution wrappers).
+///
+/// This file is also the home of every Gaussian draw in the tree (channel
+/// AWGN, noise jammers, fault bursts): a project-owned Box–Muller transform
+/// that turns one 64-bit draw into one complex sample. It uses only
+/// + − ×, std::sqrt and integer bit operations — log, sin and cos are
+/// polynomials — and its TU is built without FMA contraction, so sample k
+/// of a stream is the same bits for a given seed on every standard library
+/// and ISA.
 
 #include <array>
+#include <complex>
 #include <cstdint>
 #include <span>
 
@@ -33,6 +42,12 @@ class SharedRandom {
 
   /// Uniform integer in [0, n).
   [[nodiscard]] BHSS_HOT std::size_t uniform_index(std::size_t n) noexcept;
+
+  /// Add to every x[k] a circularly-symmetric complex Gaussian sample of
+  /// total power `power` (independent N(0, power/2) rails). Sample k
+  /// consumes exactly one next_u64() draw (see gaussian_from_bits), so
+  /// splitting a request into chunks never changes the stream.
+  BHSS_HOT void add_gaussian(std::span<std::complex<float>> x, double power) noexcept;
 
   /// Draw an index according to a discrete distribution (weights need not
   /// be normalised).
@@ -57,5 +72,17 @@ class SharedRandom {
  private:
   std::array<std::uint64_t, 4> s_;
 };
+
+/// The Box–Muller transform behind SharedRandom::add_gaussian: one 64-bit
+/// draw to one complex sample with N(0, sigma²) rails, where
+/// sigma = float(sqrt(power / 2)).
+///
+/// Bit layout: the top 24 bits give u1 = (k + 1)·2⁻²⁴ in (0, 1] and the
+/// radius sqrt(−2 ln u1); the next 2 bits pick a quadrant; the 24 bits
+/// below that place the angle inside the quadrant. The smallest u1 is
+/// 2⁻²⁴, so the radius — and with it |I| and |Q| — is truncated at
+/// sqrt(48 ln 2) ≈ 5.77 sigma. An ideal complex Gaussian lands beyond that
+/// radius once in 2²⁴ samples; here those samples land on the cap.
+[[nodiscard]] std::complex<float> gaussian_from_bits(std::uint64_t bits, float sigma) noexcept;
 
 }  // namespace bhss::core

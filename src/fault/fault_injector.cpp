@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numbers>
 
 #include "channel/impairments.hpp"
 #include "core/shared_random.hpp"
@@ -14,18 +13,6 @@ namespace {
 /// Stream id for the burst-noise sample RNG (distinct from the planning
 /// stream so adding draws to one can never shift the other).
 constexpr std::uint64_t kBurstNoiseStream = 0xFB;
-
-/// One circularly-symmetric complex Gaussian sample of total power
-/// `power`, drawn via Box-Muller from the shared random source (keeps all
-/// randomness reproducible from a single seed, and identical across
-/// platforms unlike std::normal_distribution).
-dsp::cf gaussian_sample(core::SharedRandom& rng, double power) {
-  const double u1 = std::max(rng.uniform(), 1e-12);
-  const double u2 = rng.uniform();
-  const double r = std::sqrt(-2.0 * std::log(u1)) * std::sqrt(power / 2.0);
-  const double theta = 2.0 * std::numbers::pi * u2;
-  return {static_cast<float>(r * std::cos(theta)), static_cast<float>(r * std::sin(theta))};
-}
 
 }  // namespace
 
@@ -60,10 +47,9 @@ FaultLog FaultInjector::apply(const FaultPlan& plan, dsp::cvec& capture,
     switch (ev.kind) {
       case FaultKind::jammer_burst: {
         const std::size_t end = std::min(offset + ev.length, capture.size());
+        // Same transform as the channel's AWGN: one draw per sample.
         const double power = std::pow(10.0, ev.magnitude / 10.0);
-        for (std::size_t i = offset; i < end; ++i) {
-          capture[i] += gaussian_sample(noise_rng, power);
-        }
+        noise_rng.add_gaussian(dsp::cspan_mut{capture}.subspan(offset, end - offset), power);
         ++log.bursts;
         break;
       }

@@ -41,6 +41,7 @@ class HoppingJammer {
   // runs stay replayable without consuming the communicator's stream.
   // BHSS_ANALYZE_SUPPRESS(d2-rng-discipline): adversary-domain RNG, explicitly seeded per instance
   std::mt19937_64 rng_;
+  // BHSS_ANALYZE_SUPPRESS(d2-rng-discipline): the engine's distribution, same adversary domain
   std::discrete_distribution<std::size_t> pick_;
   std::vector<double> last_hops_;
 };

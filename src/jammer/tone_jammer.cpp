@@ -17,6 +17,7 @@ ToneJammer::ToneJammer(std::vector<double> freqs, std::uint64_t seed)
   }
   // BHSS_ANALYZE_SUPPRESS(d2-rng-discipline): adversary-domain phase randomization, explicitly seeded per instance
   std::mt19937_64 rng(seed);
+  // BHSS_ANALYZE_SUPPRESS(d2-rng-discipline): the engine's distribution, same adversary domain
   std::uniform_real_distribution<double> uniform(0.0, 1.0);
   phases_.resize(freqs_.size());
   for (double& p : phases_) p = uniform(rng) * 2.0 * std::numbers::pi;
@@ -49,6 +50,7 @@ SweptJammer::SweptJammer(double f_lo, double f_hi, std::size_t sweep_samples,
   rate_ = (f_hi - f_lo) / static_cast<double>(sweep_samples);
   // BHSS_ANALYZE_SUPPRESS(d2-rng-discipline): adversary-domain RNG, explicitly seeded per instance (see ToneJammer)
   std::mt19937_64 rng(seed);
+  // BHSS_ANALYZE_SUPPRESS(d2-rng-discipline): the engine's distribution, same adversary domain
   std::uniform_real_distribution<double> uniform(0.0, 1.0);
   freq_ = f_lo + uniform(rng) * (f_hi - f_lo);
   phase_ = uniform(rng) * 2.0 * std::numbers::pi;

@@ -18,4 +18,16 @@ unsigned long clock_seed() {
   return seed;                           // wall-clock-derived seed
 }
 
+// Engine and distribution held as class members: the engine declared
+// straight after an access label, the distribution brace-initialised.
+class NoiseSource {
+ public:
+  explicit NoiseSource(unsigned long seed) : rng_(seed) {}
+  float draw() { return normal_(rng_); }
+
+ private:
+  std::mt19937_64 rng_;
+  std::normal_distribution<float> normal_{0.0F, 1.0F};
+};
+
 }  // namespace fx

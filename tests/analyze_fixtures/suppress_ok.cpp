@@ -7,8 +7,7 @@ namespace fx {
 double adversary_draw(unsigned long seed) {
   // BHSS_ANALYZE_SUPPRESS(d2-rng-discipline): fixture stand-in for adversary-domain RNG, explicitly seeded
   std::mt19937_64 gen(seed);
-  std::uniform_real_distribution<double> dist(0.0, 1.0);
-  return dist(gen);
+  return static_cast<double>(gen() >> 11) * 0x1.0p-53;
 }
 
 }  // namespace fx

@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <complex>
+#include <cstring>
+#include <limits>
+#include <numbers>
 #include <vector>
 
 #include "core/shared_random.hpp"
@@ -90,6 +95,57 @@ TEST(SharedRandom, ForFrameIsDeterministicAndFrameDependent) {
   const std::uint64_t va = a.next_u64();
   EXPECT_EQ(va, b.next_u64());
   EXPECT_NE(va, c.next_u64());
+}
+
+TEST(GaussianFromBits, BlockPathMatchesScalarTransform) {
+  // add_gaussian transforms draws in vectorised blocks of 256; the bits
+  // must equal the one-draw-at-a-time reference, across block boundaries
+  // and a ragged tail. Power 1.125 is sigma 0.75 per rail, exactly.
+  SharedRandom block(9);
+  SharedRandom scalar(9);
+  std::vector<std::complex<float>> x(1000);
+  block.add_gaussian(x, 1.125);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const std::complex<float> ref = gaussian_from_bits(scalar.next_u64(), 0.75F);
+    EXPECT_EQ(std::memcmp(&ref, &x[i], sizeof ref), 0) << "sample " << i;
+  }
+  // One draw per sample: both generators sit at the same stream position.
+  EXPECT_EQ(block.next_u64(), scalar.next_u64());
+}
+
+TEST(GaussianFromBits, RadiusIsFiniteMonotoneAndCapped) {
+  // Exhaustive over all 2^24 radius draws, at the in-quadrant angle nearest
+  // zero (cos = 1, so the I rail is the radius itself). The radius must be
+  // finite, non-negative, non-increasing in the draw, start at the
+  // documented sqrt(48 ln 2) ~ 5.77 cap and end at 0 (u1 = 1).
+  constexpr std::uint64_t kNearZeroAngle = std::uint64_t{1} << (23 + 6);
+  const double cap = std::sqrt(48.0 * std::numbers::ln2);
+  float prev = std::numeric_limits<float>::infinity();
+  for (std::uint64_t k = 0; k < (std::uint64_t{1} << 24); ++k) {
+    const float r = gaussian_from_bits((k << 40) | kNearZeroAngle, 1.0F).real();
+    ASSERT_TRUE(std::isfinite(r)) << "k " << k;
+    ASSERT_GE(r, 0.0F) << "k " << k;
+    ASSERT_LE(r, prev) << "k " << k;
+    prev = r;
+  }
+  const float first = gaussian_from_bits(kNearZeroAngle, 1.0F).real();
+  EXPECT_NEAR(first, cap, 1e-5 * cap);
+  EXPECT_EQ(prev, 0.0F);
+}
+
+TEST(GaussianFromBits, QuadrantBitsRotateByQuarterTurns) {
+  // The top two bits of the low word pick the quadrant: each step is an
+  // exact quarter turn (x, y) -> (-y, x), done with sign and swap masks.
+  SharedRandom rng(31);
+  for (int trial = 0; trial < 1000; ++trial) {
+    const std::uint64_t base = rng.next_u64() & ~(std::uint64_t{3} << 30);
+    for (std::uint64_t q = 1; q < 4; ++q) {
+      const std::complex<float> prev = gaussian_from_bits(base | ((q - 1) << 30), 1.0F);
+      const std::complex<float> g = gaussian_from_bits(base | (q << 30), 1.0F);
+      EXPECT_EQ(g.real(), -prev.imag()) << "q " << q;
+      EXPECT_EQ(g.imag(), prev.real()) << "q " << q;
+    }
+  }
 }
 
 }  // namespace

@@ -181,6 +181,15 @@ SimConfig tone_jammed_sim() {
   return cfg;
 }
 
+/// tone_jammed_sim() with enough packets that a cache hit is all but
+/// certain: at 8 packets on 4 shards a shard sees too few repeats of one
+/// jammed-bin mask, and whether any shard hits depends on the noise seed.
+SimConfig tone_jammed_sim_for_hits() {
+  SimConfig cfg = tone_jammed_sim();
+  cfg.n_packets = 32;
+  return cfg;
+}
+
 void expect_identical_stats(const LinkStats& a, const LinkStats& b) {
   EXPECT_EQ(a.packets, b.packets);
   EXPECT_EQ(a.detected, b.detected);
@@ -218,8 +227,8 @@ std::uint64_t counter_value(const std::string& body, const std::string& key) {
 }
 
 TEST(FilterDesignCache, LinkStatsAndTelemetryAreCacheNeutral) {
-  SimConfig cached_cfg = tone_jammed_sim();
-  SimConfig fresh_cfg = tone_jammed_sim();
+  SimConfig cached_cfg = tone_jammed_sim_for_hits();
+  SimConfig fresh_cfg = tone_jammed_sim_for_hits();
   fresh_cfg.system.logic.design_cache_capacity = 0;
 
   runtime::ParallelLinkRunner runner({.n_threads = 2, .n_shards = 4});

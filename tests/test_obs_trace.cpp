@@ -183,11 +183,12 @@ TEST(GoldenTrace, ReactiveJammerFilterDecisions) {
   cfg.jammer.kind = core::JammerSpec::Kind::reactive;
   cfg.jammer.reaction_delay = 1024;
 
-  // Golden, pinned 2026-08: the per-hop filter decisions of 6 fixed-seed
-  // packets against the reactive jammer (packets that never achieved sync
-  // lock contribute no hops). Any control-logic, sync or DSP change that
-  // alters a single decision shows up here first.
-  const std::string golden = "eennee|eeneee|eeeene|enenen";
+  // Golden, pinned 2026-08 and re-recorded 2026-10 when AwgnSource moved
+  // to the owned Box–Muller transform (new noise bits): the per-hop filter
+  // decisions of 6 fixed-seed packets against the reactive jammer (packets
+  // that never achieved sync lock contribute no hops). Any control-logic,
+  // sync or DSP change that alters a single decision shows up here first.
+  const std::string golden = "eeeeee|eneeen|neeenn";
   EXPECT_EQ(decision_sequence(cfg, 6), golden);
 }
 

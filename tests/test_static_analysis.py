@@ -113,7 +113,13 @@ def fixture_tests() -> None:
     expect_clean("h1_dist_good.cpp")
 
     # --- D2: RNG discipline ---
-    expect_fires("d2_bad.cpp", "d2-rng-discipline", min_count=3)
+    expect_fires("d2_bad.cpp", "d2-rng-discipline", min_count=6)
+    r = analyze_fixture("d2_bad.cpp")
+    check("member 'rng_' of RNG engine type 'mt19937_64'" in r.stdout
+          and "member 'normal_' of RNG distribution type 'normal_distribution'" in r.stdout,
+          "d2_bad.cpp: engine member after an access label and brace-initialised "
+          "distribution member both fire",
+          f"exit={r.returncode}\n{r.stdout}{r.stderr}")
     expect_clean("d2_good.cpp")
 
     # --- C1: contract coverage ---

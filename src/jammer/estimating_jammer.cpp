@@ -1,7 +1,6 @@
 #include "jammer/estimating_jammer.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "core/contracts.hpp"
 
@@ -12,10 +11,7 @@ EstimatingJammer::EstimatingJammer(std::vector<double> available_bws, std::size_
     : available_bws_(std::move(available_bws)), estimation_hops_(estimation_hops) {
   BHSS_REQUIRE(!available_bws_.empty(), "EstimatingJammer: need at least one bandwidth");
   BHSS_REQUIRE(estimation_hops_ >= 1, "EstimatingJammer: need at least one observation");
-  sources_.reserve(available_bws_.size());
-  for (std::size_t i = 0; i < available_bws_.size(); ++i) {
-    sources_.emplace_back(available_bws_[i], seed * 0xD1B54A32D192ED03ULL + i + 1);
-  }
+  sources_ = noise_bank(available_bws_, seed * 0xD1B54A32D192ED03ULL);
   counts_.assign(available_bws_.size(), 0);
   // Until the histogram matures, spend the budget on the widest band —
   // the same prior the plain reactive jammer starts from.
@@ -24,26 +20,13 @@ EstimatingJammer::EstimatingJammer(std::vector<double> available_bws, std::size_
                     std::max_element(available_bws_.begin(), available_bws_.end())));
 }
 
-std::size_t EstimatingJammer::closest_bw_index(double bw) const noexcept {
-  std::size_t best = 0;
-  double best_dist = std::abs(std::log(available_bws_[0]) - std::log(bw));
-  for (std::size_t i = 1; i < available_bws_.size(); ++i) {
-    const double d = std::abs(std::log(available_bws_[i]) - std::log(bw));
-    if (d < best_dist) {
-      best_dist = d;
-      best = i;
-    }
-  }
-  return best;
-}
-
 dsp::cvec EstimatingJammer::generate(std::span<const ObservedHop> hops, std::size_t n) {
   // Output strictly before updating: this transmission is jammed with the
   // estimate learned from *previous* transmissions only.
   dsp::cvec out = sources_[target_].generate(n);
 
   for (const ObservedHop& hop : hops) {
-    ++counts_[closest_bw_index(hop.bandwidth_frac)];
+    ++counts_[closest_bandwidth(available_bws_, hop.bandwidth_frac)];
   }
   observed_ += hops.size();
 

@@ -45,8 +45,6 @@ class EstimatingJammer {
   [[nodiscard]] const std::vector<std::uint64_t>& histogram() const noexcept { return counts_; }
 
  private:
-  [[nodiscard]] std::size_t closest_bw_index(double bw) const noexcept;
-
   std::vector<double> available_bws_;
   std::size_t estimation_hops_;
   std::vector<NoiseJammer> sources_;

@@ -1,5 +1,6 @@
 #include "jammer/noise_jammer.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "core/contracts.hpp"
@@ -31,6 +32,29 @@ dsp::cvec NoiseJammer::generate(std::size_t n) {
   dsp::cvec out(shaped.begin() + static_cast<std::ptrdiff_t>(lead), shaped.end());
   dsp::scale_to_power(out, 1.0);
   return out;
+}
+
+std::vector<NoiseJammer> noise_bank(std::span<const double> bandwidths, std::uint64_t base_seed) {
+  std::vector<NoiseJammer> bank;
+  bank.reserve(bandwidths.size());
+  for (std::size_t i = 0; i < bandwidths.size(); ++i) {
+    bank.emplace_back(bandwidths[i], base_seed + i + 1);
+  }
+  return bank;
+}
+
+std::size_t closest_bandwidth(std::span<const double> bandwidths, double bw) {
+  BHSS_REQUIRE(!bandwidths.empty(), "closest_bandwidth: need at least one bandwidth");
+  std::size_t best = 0;
+  double best_dist = std::abs(std::log(bandwidths[0]) - std::log(bw));
+  for (std::size_t i = 1; i < bandwidths.size(); ++i) {
+    const double d = std::abs(std::log(bandwidths[i]) - std::log(bw));
+    if (d < best_dist) {
+      best_dist = d;
+      best = i;
+    }
+  }
+  return best;
 }
 
 }  // namespace bhss::jammer

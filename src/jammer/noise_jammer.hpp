@@ -9,6 +9,8 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "channel/awgn.hpp"
 #include "dsp/fir.hpp"
@@ -41,5 +43,14 @@ class NoiseJammer {
   channel::AwgnSource noise_;
   std::optional<dsp::FftConvolver> shaper_;  ///< absent for full-band noise
 };
+
+/// The sources a bandwidth-switching jammer draws from: one NoiseJammer
+/// per entry of `bandwidths`, source i seeded `base_seed + i + 1`.
+[[nodiscard]] std::vector<NoiseJammer> noise_bank(std::span<const double> bandwidths,
+                                                  std::uint64_t base_seed);
+
+/// Index of the entry of `bandwidths` closest to `bw` in log distance;
+/// ties go to the lower index. `bandwidths` must not be empty.
+[[nodiscard]] std::size_t closest_bandwidth(std::span<const double> bandwidths, double bw);
 
 }  // namespace bhss::jammer

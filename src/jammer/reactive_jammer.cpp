@@ -1,7 +1,6 @@
 #include "jammer/reactive_jammer.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "core/contracts.hpp"
@@ -14,26 +13,10 @@ ReactiveJammer::ReactiveJammer(std::vector<double> available_bws, std::size_t re
       reaction_delay_(reaction_delay),
       estimation_samples_(estimation_samples) {
   BHSS_REQUIRE(!available_bws_.empty(), "ReactiveJammer: need at least one bandwidth");
-  sources_.reserve(available_bws_.size());
-  for (std::size_t i = 0; i < available_bws_.size(); ++i) {
-    sources_.emplace_back(available_bws_[i], seed * 0xD1B54A32D192ED03ULL + i + 1);
-  }
+  sources_ = noise_bank(available_bws_, seed * 0xD1B54A32D192ED03ULL);
   current_bw_index_ = static_cast<std::size_t>(
       std::distance(available_bws_.begin(),
                     std::max_element(available_bws_.begin(), available_bws_.end())));
-}
-
-std::size_t ReactiveJammer::closest_bw_index(double bw) const noexcept {
-  std::size_t best = 0;
-  double best_dist = std::abs(std::log(available_bws_[0]) - std::log(bw));
-  for (std::size_t i = 1; i < available_bws_.size(); ++i) {
-    const double d = std::abs(std::log(available_bws_[i]) - std::log(bw));
-    if (d < best_dist) {
-      best_dist = d;
-      best = i;
-    }
-  }
-  return best;
 }
 
 dsp::cvec ReactiveJammer::generate(std::span<const ObservedHop> hops, std::size_t n) {
@@ -64,7 +47,7 @@ dsp::cvec ReactiveJammer::generate(std::span<const ObservedHop> hops, std::size_
     const std::size_t hop_end = (i + 1 < hops.size()) ? hops[i + 1].start : n;
     const std::size_t dwell = hop_end > hops[i].start ? hop_end - hops[i].start : 0;
     if (dwell < estimation_samples_) continue;
-    const std::size_t bw_index = closest_bw_index(hops[i].bandwidth_frac);
+    const std::size_t bw_index = closest_bandwidth(available_bws_, hops[i].bandwidth_frac);
     timeline.push_back({hops[i].start + estimation_samples_ + reaction_delay_, bw_index});
     last_estimated = bw_index;
     any_estimated = true;

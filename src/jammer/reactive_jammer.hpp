@@ -56,8 +56,6 @@ class ReactiveJammer {
   [[nodiscard]] std::size_t estimation_samples() const noexcept { return estimation_samples_; }
 
  private:
-  [[nodiscard]] std::size_t closest_bw_index(double bw) const noexcept;
-
   std::vector<double> available_bws_;
   std::size_t reaction_delay_;
   std::size_t estimation_samples_;

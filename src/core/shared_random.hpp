@@ -9,7 +9,7 @@
 /// so both are unpredictable to it.
 ///
 /// Implemented as xoshiro256** — small, fast, reproducible across
-/// platforms (unlike std::mt19937_64's distribution wrappers).
+/// platforms (unlike the standard library's distribution wrappers).
 ///
 /// This file is also the home of every Gaussian draw in the tree (channel
 /// AWGN, noise jammers, fault bursts): a project-owned Box–Muller transform

@@ -7,9 +7,9 @@
 /// linear / exponential / parabolic distributions as the transmitter.
 
 #include <cstdint>
-#include <random>
 #include <vector>
 
+#include "core/shared_random.hpp"
 #include "jammer/noise_jammer.hpp"
 
 namespace bhss::jammer {
@@ -34,15 +34,15 @@ class HoppingJammer {
 
  private:
   std::vector<double> bandwidth_fracs_;
+  std::vector<double> probabilities_;  ///< draw weights, one per bandwidth
   std::size_t dwell_samples_;
   std::vector<NoiseJammer> sources_;  ///< one shaped source per bandwidth
-  // The jammer is the adversary: its RNG is a separate domain from the
-  // protocol's SharedRandom by design, seeded explicitly per instance so
-  // runs stay replayable without consuming the communicator's stream.
-  // BHSS_ANALYZE_SUPPRESS(d2-rng-discipline): adversary-domain RNG, explicitly seeded per instance
-  std::mt19937_64 rng_;
-  // BHSS_ANALYZE_SUPPRESS(d2-rng-discipline): the engine's distribution, same adversary domain
-  std::discrete_distribution<std::size_t> pick_;
+  // The jammer is the adversary: it draws its picks from its own
+  // SharedRandom, seeded per instance and never shared with the
+  // protocol's, so runs replay without consuming the communicator's
+  // stream. pick() is the sampler HopPattern::draw uses for the
+  // transmitter.
+  core::SharedRandom rng_;
   std::vector<double> last_hops_;
 };
 

@@ -2,10 +2,10 @@
 
 #include <cmath>
 #include <numbers>
-#include <random>
 #include <stdexcept>
 
 #include "core/contracts.hpp"
+#include "core/shared_random.hpp"
 
 namespace bhss::jammer {
 
@@ -15,12 +15,9 @@ ToneJammer::ToneJammer(std::vector<double> freqs, std::uint64_t seed)
   for (double f : freqs_) {
     BHSS_REQUIRE(f > -0.5 && f < 0.5, "ToneJammer: frequency must be in (-0.5, 0.5)");
   }
-  // BHSS_ANALYZE_SUPPRESS(d2-rng-discipline): adversary-domain phase randomization, explicitly seeded per instance
-  std::mt19937_64 rng(seed);
-  // BHSS_ANALYZE_SUPPRESS(d2-rng-discipline): the engine's distribution, same adversary domain
-  std::uniform_real_distribution<double> uniform(0.0, 1.0);
+  core::SharedRandom rng(seed);
   phases_.resize(freqs_.size());
-  for (double& p : phases_) p = uniform(rng) * 2.0 * std::numbers::pi;
+  for (double& p : phases_) p = rng.uniform() * 2.0 * std::numbers::pi;
 }
 
 dsp::cvec ToneJammer::generate(std::size_t n) {
@@ -48,12 +45,9 @@ SweptJammer::SweptJammer(double f_lo, double f_hi, std::size_t sweep_samples,
                "SweptJammer: need -0.5 < f_lo < f_hi < 0.5");
   BHSS_REQUIRE(sweep_samples != 0, "SweptJammer: sweep must be > 0");
   rate_ = (f_hi - f_lo) / static_cast<double>(sweep_samples);
-  // BHSS_ANALYZE_SUPPRESS(d2-rng-discipline): adversary-domain RNG, explicitly seeded per instance (see ToneJammer)
-  std::mt19937_64 rng(seed);
-  // BHSS_ANALYZE_SUPPRESS(d2-rng-discipline): the engine's distribution, same adversary domain
-  std::uniform_real_distribution<double> uniform(0.0, 1.0);
-  freq_ = f_lo + uniform(rng) * (f_hi - f_lo);
-  phase_ = uniform(rng) * 2.0 * std::numbers::pi;
+  core::SharedRandom rng(seed);
+  freq_ = f_lo + rng.uniform() * (f_hi - f_lo);
+  phase_ = rng.uniform() * 2.0 * std::numbers::pi;
 }
 
 dsp::cvec SweptJammer::generate(std::size_t n) {

@@ -78,10 +78,6 @@ struct JournalKey {
 /// thread-safe (worker shards report completion concurrently) and fsync'd.
 class CheckpointJournal {
  public:
-  /// Journal line-format version. Bump when the record layout changes;
-  /// a resumed journal with a different version is rejected.
-  static constexpr int kFormatVersion = 1;
-
   CheckpointJournal() = default;
   ~CheckpointJournal();
   CheckpointJournal(const CheckpointJournal&) = delete;

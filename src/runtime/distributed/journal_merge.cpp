@@ -129,8 +129,7 @@ void require_same_header(const journal::Header& ref, const journal::Header& got,
   }
   if (got.build_sha != ref.build_sha) {
     throw JournalMergeError("build mismatch: " + path + " was written by git=" +
-                            got.build_sha + ", " + ref_path + " by git=" + got.build_sha +
-                            " vs " + ref.build_sha +
+                            got.build_sha + ", " + ref_path + " by git=" + ref.build_sha +
                             " — cross-binary determinism is not guaranteed");
   }
 }

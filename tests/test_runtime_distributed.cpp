@@ -251,6 +251,14 @@ TEST(JournalMerge, RejectsMismatchedSchemaFigureAndBuild) {
   const std::string build = temp_path("hdr_build");
   write_worker_journal(build, "dist", 3, "sha2", {{"pt", 1}});
   EXPECT_THROW((void)merge_journals({ref, build}, out), JournalMergeError);
+  try {
+    (void)merge_journals({ref, build}, out);
+  } catch (const JournalMergeError& e) {
+    // Each file is reported with its own SHA.
+    const std::string what = e.what();
+    EXPECT_NE(what.find(build + " was written by git=sha2"), std::string::npos) << what;
+    EXPECT_NE(what.find(ref + " by git=sha1"), std::string::npos) << what;
+  }
 
   for (const std::string& p : {ref, schema, figure, build}) std::remove(p.c_str());
 }

@@ -1,12 +1,17 @@
 // Unit tests for the radix-2 FFT: impulse/DC responses, linearity against
-// a naive DFT, Parseval's theorem, and round-trip inversion.
+// a naive DFT, Parseval's theorem, round-trip inversion, and a digest pin
+// of the exact output bits.
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
 #include <random>
 
+#include "core/shared_random.hpp"
 #include "dsp/fft.hpp"
 
 namespace bhss::dsp {
@@ -139,6 +144,65 @@ TEST(Fft, ForwardCopyZeroPads) {
   const cvec spec = fft.forward_copy(x);
   ASSERT_EQ(spec.size(), 16U);
   EXPECT_NEAR(spec[0].real(), 4.0F, 1e-5);
+}
+
+// Golden digests of the transform's output bits. A change to the butterfly
+// kernels must leave every row unchanged; the default and the
+// -DBHSS_SIMD=OFF builds share the table because the vector kernels are
+// bit-identical to the scalar reference.
+
+/// FNV-1a-64 over the IEEE-754 bits of both rails of every sample.
+std::uint64_t fnv1a(cspan x) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (const cf& s : x) {
+    for (const float v : {s.real(), s.imag()}) {
+      const auto bits = std::bit_cast<std::uint32_t>(v);
+      for (unsigned byte = 0; byte < 4; ++byte) {
+        h ^= (bits >> (8U * byte)) & 0xFFU;
+        h *= 0x100000001B3ULL;
+      }
+    }
+  }
+  return h;
+}
+
+struct FftPin {
+  std::size_t n;
+  std::uint64_t forward;
+  std::uint64_t inverse;
+};
+
+TEST(Fft, TransformBitsArePinned) {
+  constexpr std::array<FftPin, 14> kPins{{
+      {2, 0xCB3B4ABBA6AF831BULL, 0xBEC322EBD7A95D82ULL},
+      {4, 0xCC856E8A4839DF94ULL, 0xDE790EE1FC078348ULL},
+      {8, 0xD41871433382B09FULL, 0xBE0E33A614B0EF46ULL},
+      {16, 0xB6411359A6D0F603ULL, 0xE2D4ABC9D4728713ULL},
+      {32, 0xE32CC20028C91D17ULL, 0x42F86B3B1504A527ULL},
+      {64, 0xFB70548C13D41E16ULL, 0x148D30221932C774ULL},
+      {128, 0xC9CD8C4B1C828F16ULL, 0x80B5914ADF1E6CA9ULL},
+      {256, 0xA488062C6BEE9837ULL, 0x343900C6B4F15ADFULL},
+      {512, 0xEAC594D1D1A394A6ULL, 0x70DD7E9A35392C5EULL},
+      {1024, 0x3330D289199E5B30ULL, 0x892922CB41A23798ULL},
+      {2048, 0xFB3DF28C440A8508ULL, 0x6C7501FF69F99D8AULL},
+      {4096, 0x2994771491F2C2E9ULL, 0x55301C9C4BFD8E5DULL},
+      {8192, 0xB10AC3DD70DE287FULL, 0x56E4F77D404891C5ULL},
+      {16384, 0xDF94CA7343082AB3ULL, 0x673F64D615272787ULL},
+  }};
+  for (const FftPin& pin : kPins) {
+    cvec input(pin.n, cf{0.0F, 0.0F});
+    core::SharedRandom rng(0xFF7B175EEDULL + pin.n);
+    rng.add_gaussian(std::span<cf>{input}, 1.0);
+    const Fft fft(pin.n);
+    cvec fwd = input;
+    fft.forward(cspan_mut{fwd});
+    cvec inv = input;
+    fft.inverse(cspan_mut{inv});
+    EXPECT_EQ(fnv1a(fwd), pin.forward) << "forward n=" << pin.n << " digest 0x" << std::hex
+                                       << fnv1a(fwd);
+    EXPECT_EQ(fnv1a(inv), pin.inverse) << "inverse n=" << pin.n << " digest 0x" << std::hex
+                                       << fnv1a(inv);
+  }
 }
 
 TEST(FftShift, SwapsHalves) {

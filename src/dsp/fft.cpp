@@ -86,12 +86,8 @@ void Fft::transform(cspan_mut x, bool inverse) const {
     if (i < j) std::swap(x[i], x[j]);
   }
   std::size_t stage = 0;
-  for (std::size_t len = 2; len <= n_; len <<= 1, ++stage) {
-    const std::size_t half = len / 2;
-    const cf* tw = plan_->stage_twiddles[stage].data();
-    for (std::size_t start = 0; start < n_; start += len) {
-      simd::fft_butterflies(x.data() + start, x.data() + start + half, tw, half, inverse);
-    }
+  for (std::size_t half = 1; half < n_; half <<= 1, ++stage) {
+    simd::fft_stage(x.data(), n_, half, plan_->stage_twiddles[stage].data(), inverse);
   }
   if (inverse) {
     const float inv_n = 1.0F / static_cast<float>(n_);

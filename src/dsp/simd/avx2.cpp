@@ -125,11 +125,8 @@ void despread_correlate16(const cf* pairs, std::size_t n_pairs, const float* se,
   for (std::size_t s = 0; s < 16; ++s) out[s] = cf{re[s], im[s]};
 }
 
-void fft_butterflies(cf* a, cf* b, const cf* tw, std::size_t half, bool inverse) {
-  if (half < 4) {
-    detail::fft_butterflies_scalar(a, b, tw, half, inverse);
-    return;
-  }
+void fft_stage(cf* x, std::size_t n, std::size_t half, const cf* tw, bool inverse) {
+  detail::require_fft_stage_shape(n, half);
   // conj(w) == flip the sign bit of the imaginary component.
   const __m256 conj_mask = inverse ? _mm256_castsi256_ps(_mm256_set_epi32(
                                          static_cast<int>(0x80000000U), 0,
@@ -137,16 +134,58 @@ void fft_butterflies(cf* a, cf* b, const cf* tw, std::size_t half, bool inverse)
                                          static_cast<int>(0x80000000U), 0,
                                          static_cast<int>(0x80000000U), 0))
                                    : _mm256_setzero_ps();
-  std::size_t k = 0;
-  for (; k + 4 <= half; k += 4) {
-    const __m256 w = _mm256_xor_ps(_mm256_loadu_ps(fp(tw + k)), conj_mask);
-    const __m256 vb = _mm256_loadu_ps(fp(b + k));
-    const __m256 va = _mm256_loadu_ps(fp(a + k));
-    const __m256 t = cmul4(w, vb);
-    _mm256_storeu_ps(fp(a + k), _mm256_add_ps(va, t));
-    _mm256_storeu_ps(fp(b + k), _mm256_sub_ps(va, t));
+  std::size_t start = 0;
+  if (half == 1) {
+    // Four 2-point blocks per step, [a0 b0 a1 b1 | a2 b2 a3 b3]. Unpacking
+    // 64-bit (one-cf) elements splits them into [a0 a2 a1 a3] and
+    // [b0 b2 b1 b3]; the same unpack of the sums and differences restores
+    // the block layout.
+    const float wr = tw[0].real();
+    const float wi = tw[0].imag();
+    const __m256 w = _mm256_xor_ps(_mm256_setr_ps(wr, wi, wr, wi, wr, wi, wr, wi), conj_mask);
+    for (; start + 8 <= n; start += 8) {
+      const __m256d v0 = _mm256_castps_pd(_mm256_loadu_ps(fp(x + start)));
+      const __m256d v1 = _mm256_castps_pd(_mm256_loadu_ps(fp(x + start + 4)));
+      const __m256 va = _mm256_castpd_ps(_mm256_unpacklo_pd(v0, v1));
+      const __m256 t = cmul4(w, _mm256_castpd_ps(_mm256_unpackhi_pd(v0, v1)));
+      const __m256d sum = _mm256_castps_pd(_mm256_add_ps(va, t));
+      const __m256d diff = _mm256_castps_pd(_mm256_sub_ps(va, t));
+      _mm256_storeu_ps(fp(x + start), _mm256_castpd_ps(_mm256_unpacklo_pd(sum, diff)));
+      _mm256_storeu_ps(fp(x + start + 4), _mm256_castpd_ps(_mm256_unpackhi_pd(sum, diff)));
+    }
+  } else if (half == 2) {
+    // Two 4-point blocks per step, [a0 a1 b0 b1 | c0 c1 d0 d1]. Swapping
+    // 128-bit halves gives [a0 a1 c0 c1] and [b0 b1 d0 d1], which line up
+    // with the twiddles [w0 w1 w0 w1].
+    const __m128 w2 = _mm_loadu_ps(fp(tw));
+    const __m256 w = _mm256_xor_ps(_mm256_set_m128(w2, w2), conj_mask);
+    for (; start + 8 <= n; start += 8) {
+      const __m256 v0 = _mm256_loadu_ps(fp(x + start));
+      const __m256 v1 = _mm256_loadu_ps(fp(x + start + 4));
+      const __m256 va = _mm256_permute2f128_ps(v0, v1, 0x20);
+      const __m256 t = cmul4(w, _mm256_permute2f128_ps(v0, v1, 0x31));
+      const __m256 sum = _mm256_add_ps(va, t);
+      const __m256 diff = _mm256_sub_ps(va, t);
+      _mm256_storeu_ps(fp(x + start), _mm256_permute2f128_ps(sum, diff, 0x20));
+      _mm256_storeu_ps(fp(x + start + 4), _mm256_permute2f128_ps(sum, diff, 0x31));
+    }
+  } else {
+    // half is a power of two >= 4, so every block is whole vectors.
+    for (; start < n; start += 2 * half) {
+      cf* a = x + start;
+      cf* b = a + half;
+      for (std::size_t k = 0; k < half; k += 4) {
+        const __m256 w = _mm256_xor_ps(_mm256_loadu_ps(fp(tw + k)), conj_mask);
+        const __m256 vb = _mm256_loadu_ps(fp(b + k));
+        const __m256 va = _mm256_loadu_ps(fp(a + k));
+        const __m256 t = cmul4(w, vb);
+        _mm256_storeu_ps(fp(a + k), _mm256_add_ps(va, t));
+        _mm256_storeu_ps(fp(b + k), _mm256_sub_ps(va, t));
+      }
+    }
   }
-  detail::fft_butterflies_scalar(a + k, b + k, tw + k, half - k, inverse);
+  // Blocks left over when n is shorter than one step.
+  detail::fft_stage_scalar(x + start, n - start, half, tw, inverse);
 }
 
 void cmul_inplace(cf* a, const cf* b, std::size_t n) {

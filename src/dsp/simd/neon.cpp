@@ -101,25 +101,29 @@ void despread_correlate16(const cf* pairs, std::size_t n_pairs, const float* se,
   for (std::size_t s = 0; s < 16; ++s) out[s] = cf{res[s], ims[s]};
 }
 
-void fft_butterflies(cf* a, cf* b, const cf* tw, std::size_t half, bool inverse) {
+void fft_stage(cf* x, std::size_t n, std::size_t half, const cf* tw, bool inverse) {
+  detail::require_fft_stage_shape(n, half);
   if (half < 2) {
-    detail::fft_butterflies_scalar(a, b, tw, half, inverse);
+    detail::fft_stage_scalar(x, n, half, tw, inverse);
     return;
   }
   // conj(w): flip the sign bit of the imaginary lanes.
   const uint32x4_t conj_mask =
       inverse ? vreinterpretq_u32_u64(vdupq_n_u64(0x8000000000000000ULL)) : vdupq_n_u32(0);
-  std::size_t k = 0;
-  for (; k + 2 <= half; k += 2) {
-    const float32x4_t w = vreinterpretq_f32_u32(
-        veorq_u32(vreinterpretq_u32_f32(vld1q_f32(fp(tw + k))), conj_mask));
-    const float32x4_t vb = vld1q_f32(fp(b + k));
-    const float32x4_t va = vld1q_f32(fp(a + k));
-    const float32x4_t t = cmul2(w, vb);
-    vst1q_f32(fp(a + k), vaddq_f32(va, t));
-    vst1q_f32(fp(b + k), vsubq_f32(va, t));
+  // half is a power of two >= 2, so every block is whole vectors.
+  for (std::size_t start = 0; start < n; start += 2 * half) {
+    cf* a = x + start;
+    cf* b = a + half;
+    for (std::size_t k = 0; k < half; k += 2) {
+      const float32x4_t w = vreinterpretq_f32_u32(
+          veorq_u32(vreinterpretq_u32_f32(vld1q_f32(fp(tw + k))), conj_mask));
+      const float32x4_t vb = vld1q_f32(fp(b + k));
+      const float32x4_t va = vld1q_f32(fp(a + k));
+      const float32x4_t t = cmul2(w, vb);
+      vst1q_f32(fp(a + k), vaddq_f32(va, t));
+      vst1q_f32(fp(b + k), vsubq_f32(va, t));
+    }
   }
-  detail::fft_butterflies_scalar(a + k, b + k, tw + k, half - k, inverse);
 }
 
 void cmul_inplace(cf* a, const cf* b, std::size_t n) {

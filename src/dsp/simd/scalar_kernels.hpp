@@ -59,15 +59,27 @@ inline void despread_correlate16_scalar(const cf* pairs, std::size_t n_pairs, co
   }
 }
 
-inline void fft_butterflies_scalar(cf* a, cf* b, const cf* tw, std::size_t half, bool inverse) {
-  BHSS_REQUIRE(a != nullptr && b != nullptr && tw != nullptr, "fft_butterflies: null buffer");
-  for (std::size_t k = 0; k < half; ++k) {
-    cf w = tw[k];
-    if (inverse) w = std::conj(w);
-    const cf u = a[k];
-    const cf t = w * b[k];
-    a[k] = u + t;
-    b[k] = u - t;
+/// The fft_stage block layout, checked once per stage by every
+/// implementation before it touches memory.
+inline void require_fft_stage_shape(std::size_t n, std::size_t half) {
+  BHSS_REQUIRE(half != 0 && (half & (half - 1)) == 0 && n % (2 * half) == 0,
+               "fft_stage: half must be a power of two and n a multiple of 2*half");
+}
+
+inline void fft_stage_scalar(cf* x, std::size_t n, std::size_t half, const cf* tw, bool inverse) {
+  BHSS_REQUIRE(x != nullptr && tw != nullptr, "fft_stage: null buffer");
+  require_fft_stage_shape(n, half);
+  for (std::size_t start = 0; start < n; start += 2 * half) {
+    cf* a = x + start;
+    cf* b = a + half;
+    for (std::size_t k = 0; k < half; ++k) {
+      cf w = tw[k];
+      if (inverse) w = std::conj(w);
+      const cf u = a[k];
+      const cf t = w * b[k];
+      a[k] = u + t;
+      b[k] = u - t;
+    }
   }
 }
 

@@ -21,8 +21,11 @@
 ///    symbols over a structure-of-arrays chip table; the chip-pair index
 ///    m walks sequentially, so each symbol's correlation accumulates in
 ///    the scalar order.
-///  * `fft_butterflies`       — vectorized across the butterfly index k
-///    within one (stage, block); each butterfly is elementwise.
+///  * `fft_stage`             — one whole radix-2 stage per call; each
+///    butterfly is elementwise. Vectorized across the butterfly index k
+///    within a block for half >= 4 (AVX2) / half >= 2 (NEON), and across
+///    blocks for the two smallest AVX2 stages (half = 1, 2), which hold
+///    half of all blocks of a transform.
 ///  * `cmul_inplace`, `scale_inplace`, `window_apply`, `scale_pulse` —
 ///    elementwise, trivially order-preserving.
 ///
@@ -79,12 +82,13 @@ BHSS_HOT void correlate_lags(const cf* x, const cf* ref, std::size_t n_ref, cf* 
 BHSS_HOT void despread_correlate16(const cf* pairs, std::size_t n_pairs, const float* se,
                                    const float* so, const float* cols, cf* out);
 
-/// One FFT stage's butterflies for one block: for k in [0, half)
+/// One radix-2 FFT stage over `x` (in/out, n samples): for every block
+/// start s = 0, 2*half, 4*half, ... < n, with a = x + s and b = a + half,
+/// and for k in [0, half)
 ///   w = inverse ? conj(tw[k]) : tw[k];
 ///   t = w * b[k];  a[k] = a[k] + t;  b[k] = a[k]_old - t;
-/// `a` and `b` are the two halves of the block (b = a + half in the
-/// caller's layout, but any disjoint arrays are accepted).
-BHSS_HOT void fft_butterflies(cf* a, cf* b, const cf* tw, std::size_t half, bool inverse);
+/// `half` must be a power of two and n a multiple of 2*half (BHSS_REQUIRE).
+BHSS_HOT void fft_stage(cf* x, std::size_t n, std::size_t half, const cf* tw, bool inverse);
 
 /// Pointwise complex multiply in place: a[i] *= b[i].
 BHSS_HOT void cmul_inplace(cf* a, const cf* b, std::size_t n);
@@ -109,7 +113,7 @@ BHSS_HOT void correlate_lags(const cf* x, const cf* ref, std::size_t n_ref, cf* 
                              std::size_t n_lags);
 BHSS_HOT void despread_correlate16(const cf* pairs, std::size_t n_pairs, const float* se,
                                    const float* so, const float* cols, cf* out);
-BHSS_HOT void fft_butterflies(cf* a, cf* b, const cf* tw, std::size_t half, bool inverse);
+BHSS_HOT void fft_stage(cf* x, std::size_t n, std::size_t half, const cf* tw, bool inverse);
 BHSS_HOT void cmul_inplace(cf* a, const cf* b, std::size_t n);
 BHSS_HOT void scale_inplace(cf* x, float s, std::size_t n);
 BHSS_HOT void window_apply(const cf* x, const float* w, cf* out, std::size_t n);

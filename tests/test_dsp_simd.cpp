@@ -13,6 +13,7 @@
 #include <array>
 #include <cstring>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -132,28 +133,36 @@ TEST(DspSimd, DespreadCorrelate16MatchesScalarBitExact) {
   }
 }
 
-TEST(DspSimd, FftButterfliesMatchesScalarBitExact) {
+TEST(DspSimd, FftStageMatchesScalarBitExact) {
+  // Every stage of every power-of-two size up to 8192: the smallest sizes
+  // leave whole blocks to the scalar tail, half = 1 and 2 take the AVX2
+  // across-block paths, and larger halves the within-block loop.
   for (bool inverse : {false, true}) {
-    for (std::size_t half = 1; half <= kMaxLen; ++half) {
-      for (std::size_t off = 0; off <= kMaxOffset; ++off) {
-        Offset<cf> a(half, off);
-        Offset<cf> b(half, off);
-        Offset<cf> tw(half, off);
-        fill(a.p, half);
-        fill(b.p, half);
-        fill(tw.p, half);
-        std::vector<cf> a2(a.p, a.p + half);
-        std::vector<cf> b2(b.p, b.p + half);
-        simd::fft_butterflies(a.p, b.p, tw.p, half, inverse);
-        simd::scalar::fft_butterflies(a2.data(), b2.data(), tw.p, half, inverse);
-        const std::string what = "fft_butterflies half=" + std::to_string(half) +
-                                 " inv=" + std::to_string(inverse) +
-                                 " off=" + std::to_string(off);
-        expect_same_bits(a.p, a2.data(), half, what + " (a)");
-        expect_same_bits(b.p, b2.data(), half, what + " (b)");
+    for (std::size_t n = 2; n <= 8192; n *= 2) {
+      for (std::size_t half = 1; half < n; half *= 2) {
+        for (std::size_t off = 0; off <= kMaxOffset; ++off) {
+          Offset<cf> x(n, off);
+          Offset<cf> tw(half, off);
+          fill(x.p, n);
+          fill(tw.p, half);
+          std::vector<cf> want(x.p, x.p + n);
+          simd::fft_stage(x.p, n, half, tw.p, inverse);
+          simd::scalar::fft_stage(want.data(), n, half, tw.p, inverse);
+          EXPECT_EQ(std::memcmp(x.p, want.data(), n * sizeof(cf)), 0)
+              << "fft_stage n=" << n << " half=" << half << " inv=" << inverse
+              << " off=" << off;
+        }
       }
     }
   }
+}
+
+TEST(DspSimd, FftStageRejectsABadHalf) {
+  std::vector<cf> x(12);
+  std::vector<cf> tw(3);
+  EXPECT_THROW(simd::fft_stage(x.data(), 12, 3, tw.data(), false), std::invalid_argument);
+  EXPECT_THROW(simd::fft_stage(x.data(), 12, 4, tw.data(), false), std::invalid_argument);
+  EXPECT_THROW(simd::fft_stage(x.data(), 12, 0, tw.data(), false), std::invalid_argument);
 }
 
 TEST(DspSimd, ElementwiseKernelsMatchScalarBitExact) {

@@ -1,9 +1,27 @@
 #include "dsp/utils.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
 
 namespace bhss::dsp {
+
+namespace {
+
+/// True iff no value has an all-ones exponent field (Inf or NaN). An OR
+/// over per-value masks instead of an early exit, so the loop vectorises.
+bool none_inf_or_nan(const float* x, std::size_t n) noexcept {
+  constexpr std::uint32_t kExponent = 0x7F800000U;
+  std::uint32_t any = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto bits = std::bit_cast<std::uint32_t>(x[i]);
+    any |= static_cast<std::uint32_t>((bits & kExponent) == kExponent);
+  }
+  return any == 0;
+}
+
+}  // namespace
 
 double db_to_linear(double db) noexcept { return std::pow(10.0, db / 10.0); }
 
@@ -37,17 +55,10 @@ void scale_to_power(cspan_mut x, double target_power) noexcept {
 }
 
 bool all_finite(cspan x) noexcept {
-  for (const cf& s : x) {
-    if (!std::isfinite(s.real()) || !std::isfinite(s.imag())) return false;
-  }
-  return true;
+  // std::complex<float> is layout-compatible with float[2].
+  return none_inf_or_nan(reinterpret_cast<const float*>(x.data()), 2 * x.size());
 }
 
-bool all_finite(fspan x) noexcept {
-  for (float v : x) {
-    if (!std::isfinite(v)) return false;
-  }
-  return true;
-}
+bool all_finite(fspan x) noexcept { return none_inf_or_nan(x.data(), x.size()); }
 
 }  // namespace bhss::dsp

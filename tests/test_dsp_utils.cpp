@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "dsp/utils.hpp"
 
@@ -83,6 +84,35 @@ TEST_P(ScaleToPowerSweep, AnyTargetReached) {
 
 INSTANTIATE_TEST_SUITE_P(Targets, ScaleToPowerSweep,
                          ::testing::Values(1e-4, 0.01, 0.5, 1.0, 3.7, 100.0, 1e4));
+
+TEST(AllFinite, FlagsEveryNonFiniteValueAtEveryPosition) {
+  using lim = std::numeric_limits<float>;
+  // Non-finite values must be found; subnormals, -0 and the extremes of
+  // the finite range must not trip the exponent-field test.
+  const float specials[] = {lim::quiet_NaN(),  -lim::quiet_NaN(), lim::signaling_NaN(),
+                            lim::infinity(),   -lim::infinity(),  lim::denorm_min(),
+                            -lim::denorm_min(), -0.0F,            lim::max(),
+                            -lim::max(),        lim::min()};
+  // Lengths below, at and past 4/8/16-lane vector widths, with tails.
+  for (const std::size_t n : {1U, 2U, 3U, 4U, 5U, 7U, 8U, 9U, 15U, 16U, 17U, 31U, 33U, 64U, 67U}) {
+    for (std::size_t pos = 0; pos < n; ++pos) {
+      for (const float v : specials) {
+        const bool want = std::isfinite(v);
+        fvec f(n, 0.5F);
+        f[pos] = v;
+        EXPECT_EQ(all_finite(fspan{f}), want) << "fspan n=" << n << " pos=" << pos << " v=" << v;
+        for (const bool imag : {false, true}) {
+          cvec c(n, cf{0.5F, -0.5F});
+          c[pos] = imag ? cf{0.5F, v} : cf{v, -0.5F};
+          EXPECT_EQ(all_finite(cspan{c}), want)
+              << "cspan n=" << n << " pos=" << pos << " imag=" << imag << " v=" << v;
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(all_finite(fspan{}));
+  EXPECT_TRUE(all_finite(cspan{}));
+}
 
 }  // namespace
 }  // namespace bhss::dsp

@@ -35,8 +35,8 @@ struct LinkIds {
   std::size_t reacquired = 0;       ///< locks that needed a retry
   std::size_t hops = 0;             ///< hop slices demodulated
   std::size_t filter_none = 0;      ///< per-hop decision: no filtering
-  std::size_t filter_lowpass = 0;   ///< per-hop decision: low-pass (eq. (3))
-  std::size_t filter_excision = 0;  ///< per-hop decision: excision (eq. (4))
+  std::size_t filter_lowpass = 0;   ///< per-hop decision: low-pass (eq. (4))
+  std::size_t filter_excision = 0;  ///< per-hop decision: excision (eq. (3))
   std::size_t degenerate_psd = 0;   ///< hops decided via the degenerate-PSD fallback
   std::size_t input_scrubbed = 0;   ///< frames with NaN/Inf samples scrubbed
   std::size_t fault_events = 0;     ///< fault-injector events applied

@@ -53,10 +53,16 @@ dsp::cvec random_signal(std::size_t n, unsigned seed) {
 void BM_Fft(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   dsp::Fft fft(n);
-  dsp::cvec x = random_signal(n, 1);
+  // Each iteration transforms a fresh copy: repeated in-place forward
+  // transforms grow by sqrt(n) per pass and reach Inf/NaN within a few
+  // iterations, which would time libgcc's NaN-recovery multiply instead.
+  const dsp::cvec input = random_signal(n, 1);
+  dsp::cvec x(n);
   for (auto _ : state) {
+    std::copy(input.begin(), input.end(), x.begin());
     fft.forward(dsp::cspan_mut{x});
     benchmark::DoNotOptimize(x.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }

@@ -3,10 +3,11 @@
 
 Compares a fresh google-benchmark JSON export (perf_kernels --json=...)
 against BENCH_kernels.json and fails when any benchmark shared by both
-files regressed by more than the tolerance (default 15 %). Benchmarks
-present on only one side are reported but never fail the gate, so adding
-or retiring a benchmark does not require touching the baseline in the
-same commit.
+files regressed by more than the tolerance (default 15 %). A benchmark
+new in the results is reported and not gated. A baseline row missing
+from the results fails the gate: a deleted or renamed benchmark must
+leave the baseline in the same commit, or it would silently stop being
+gated.
 
 Modes:
   perf_compare.py RESULTS.json                 gate against BENCH_kernels.json
@@ -78,7 +79,7 @@ def gate(fresh: dict[str, float], baseline: Path, tolerance: float) -> int:
         return 2
 
     failures: list[str] = []
-    width = max(len(n) for n in shared)
+    width = max(len(n) for n in shared + only_base)
     for name in shared:
         ratio = fresh[name] / base[name] if base[name] > 0.0 else float("inf")
         verdict = "ok"
@@ -90,14 +91,20 @@ def gate(fresh: dict[str, float], baseline: Path, tolerance: float) -> int:
     for name in only_fresh:
         print(f"  {name:<{width}}  (new benchmark, not gated)")
     for name in only_base:
-        print(f"  {name:<{width}}  (missing from results, not gated)")
+        print(f"  {name:<{width}}  MISSING from results")
 
+    if only_base:
+        print(f"\n{len(only_base)} baseline row(s) of {baseline.name} missing from "
+              f"the results: {', '.join(only_base)}", file=sys.stderr)
+        print("Drop the rows of a deleted or renamed benchmark from the baseline.",
+              file=sys.stderr)
     if failures:
         print(f"\n{len(failures)} benchmark(s) regressed beyond "
               f"{tolerance:.0%} of {baseline.name}: {', '.join(failures)}",
               file=sys.stderr)
         print("If the slowdown is intended, re-record with --calibrate on an "
               "idle machine and commit the new baseline.", file=sys.stderr)
+    if failures or only_base:
         return 1
     print(f"\nall {len(shared)} shared benchmarks within {tolerance:.0%} "
           f"of {baseline.name}")

@@ -23,9 +23,14 @@ std::size_t next_pow2(std::size_t n) {
 }  // namespace
 
 std::shared_ptr<const ConvolverPlan> ConvolverPlan::make(cspan taps) {
+  return make(taps, next_pow2(std::max<std::size_t>(4 * taps.size(), 1024)));
+}
+
+std::shared_ptr<const ConvolverPlan> ConvolverPlan::make(cspan taps, std::size_t fft_size) {
   BHSS_REQUIRE(!taps.empty(), "ConvolverPlan: taps must be non-empty");
   BHSS_REQUIRE(all_finite(taps), "ConvolverPlan: taps must be finite");
-  const std::size_t fft_size = next_pow2(std::max<std::size_t>(4 * taps.size(), 1024));
+  BHSS_REQUIRE(Fft::valid_size(fft_size) && fft_size >= taps.size(),
+               "ConvolverPlan: fft_size must be a power of two >= the tap count");
   auto plan = std::make_shared<ConvolverPlan>(ConvolverPlan{
       .num_taps = taps.size(),
       .fft_size = fft_size,
@@ -40,7 +45,7 @@ std::shared_ptr<const ConvolverPlan> ConvolverPlan::make(cspan taps) {
 FftConvolver::FftConvolver(cspan taps) : FftConvolver(ConvolverPlan::make(taps)) {}
 
 FftConvolver::FftConvolver(std::shared_ptr<const ConvolverPlan> plan)
-    : plan_(std::move(plan)), work_(plan_->fft_size) {
+    : plan_(std::move(plan)), work_(plan_->fft_size + plan_->num_taps - 1) {
   BHSS_REQUIRE(plan_ != nullptr, "FftConvolver: plan must be non-null");
 }
 
@@ -53,26 +58,31 @@ cvec FftConvolver::filter(cspan x) {
 void FftConvolver::filter(cspan x, cvec& out) {
   // BHSS_ANALYZE_SUPPRESS(h1-hot-path-purity): resize to the documented output length; allocation-free once the caller's buffer has capacity (see header contract)
   out.resize(x.size());
-  cvec& block = work_;
-  const std::size_t fft_size = plan_->fft_size;
-  const std::size_t block_size = plan_->block_size;
-  // Overlap-save: each iteration consumes block_size fresh samples and
-  // reuses the previous num_taps-1 samples (zeros before the start).
-  const std::size_t overlap = plan_->num_taps - 1;
-  for (std::size_t pos = 0; pos < x.size(); pos += block_size) {
-    for (std::size_t i = 0; i < fft_size; ++i) {
-      // Sample index feeding this FFT bin; negative indices are zero.
-      const auto global = static_cast<std::ptrdiff_t>(pos + i) - static_cast<std::ptrdiff_t>(overlap);
-      block[i] = (global >= 0 && global < static_cast<std::ptrdiff_t>(x.size()))
-                     ? x[static_cast<std::size_t>(global)]
-                     : cf{0.0F, 0.0F};
-    }
-    plan_->fft.forward(cspan_mut{block});
-    simd::cmul_inplace(block.data(), plan_->taps_spectrum.data(), fft_size);
-    plan_->fft.inverse(cspan_mut{block});
-    const std::size_t n_valid = std::min(block_size, x.size() - pos);
-    for (std::size_t i = 0; i < n_valid; ++i) out[pos + i] = block[overlap + i];
+  const cspan_mut fresh = block();
+  const cspan_mut past = history();
+  std::fill(past.begin(), past.end(), cf{0.0F, 0.0F});
+  for (std::size_t pos = 0; pos < x.size(); pos += fresh.size()) {
+    const std::size_t n_valid = std::min(fresh.size(), x.size() - pos);
+    std::copy_n(x.begin() + static_cast<std::ptrdiff_t>(pos), n_valid, fresh.begin());
+    std::fill(fresh.begin() + static_cast<std::ptrdiff_t>(n_valid), fresh.end(), cf{0.0F, 0.0F});
+    step();
+    std::copy_n(fresh.begin(), n_valid, out.begin() + static_cast<std::ptrdiff_t>(pos));
   }
+}
+
+void FftConvolver::step() {
+  // Overlap-save: the FFT block is the num_taps-1 history samples followed
+  // by block_size fresh ones; its last num_taps-1 inputs are the next
+  // block's history, and its last block_size outputs are valid.
+  const std::size_t fft_size = plan_->fft_size;
+  const cspan_mut fft_block = cspan_mut{work_}.first(fft_size);
+  const cspan_mut past = history();
+  std::copy(past.begin(), past.end(), fft_block.begin());
+  std::copy(fft_block.begin() + static_cast<std::ptrdiff_t>(plan_->block_size), fft_block.end(),
+            past.begin());
+  plan_->fft.forward(fft_block);
+  simd::cmul_inplace(fft_block.data(), plan_->taps_spectrum.data(), fft_size);
+  plan_->fft.inverse(fft_block);
 }
 
 // ------------------------------------------------------------ filter design

@@ -260,8 +260,10 @@ BENCHMARK(BM_FullFrameReceive);
 //
 // The AWGN channel and the noise jammer are the two Gaussian consumers of
 // every simulated packet. 28672 samples is one jammed capture of the
-// benchmark's link (the jammer draws another 2049 for its shaping filter's
-// lead-in).
+// benchmark's link. 512 and 4096 are the sizes of reactive-jammer
+// segments: the jammer's shaping filter is one stream across calls, so a
+// short call costs its share of the stream's blocks, not a fresh
+// convolution.
 
 void BM_AwgnAddTo(benchmark::State& state) {
   channel::AwgnSource noise(8);
@@ -283,7 +285,7 @@ void BM_NoiseJammerGenerate(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_NoiseJammerGenerate)->Arg(28672);
+BENCHMARK(BM_NoiseJammerGenerate)->Arg(512)->Arg(4096)->Arg(28672);
 
 // ----------------------------------------------------- parallel Monte-Carlo
 

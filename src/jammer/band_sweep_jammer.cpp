@@ -28,7 +28,7 @@ double BandSweepJammer::centre_freq(std::size_t step) const noexcept {
 }
 
 dsp::cvec BandSweepJammer::generate(std::size_t n) {
-  // Baseband shaped noise first (RNG advances by exactly n), then mix
+  // Baseband shaped noise first (the stream advances by exactly n), then mix
   // each sample up to the centre frequency of the dwell it falls in.
   // Mixing preserves power, so the output stays unit power.
   dsp::cvec out = source_.generate(n);

@@ -32,8 +32,9 @@ class BandSweepJammer {
 
   /// Generate `n` samples. Sweep position and mixer phase are continuous
   /// across calls: a dwell can straddle a call boundary and the centre
-  /// frequency keeps marching on schedule. (The shaped noise is
-  /// normalised per call like every jammer here; link-level determinism
+  /// frequency keeps marching on schedule. (The shaped noise is one
+  /// stream across calls but is normalised per call like every jammer
+  /// here, so splitting a call rescales its pieces; link-level determinism
   /// comes from the simulator replaying the identical per-packet call
   /// sequence, not from sample-level call-splitting invariance.)
   [[nodiscard]] dsp::cvec generate(std::size_t n);

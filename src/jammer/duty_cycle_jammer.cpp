@@ -30,9 +30,9 @@ DutyCycleJammer::DutyCycleJammer(double bandwidth_frac, std::size_t period_sampl
       source_(bandwidth_frac, seed) {}
 
 dsp::cvec DutyCycleJammer::generate(std::size_t n) {
-  // Draw the full noise stream first, then gate it: the RNG advance and
-  // the per-call power normalisation depend only on `n`, never on where
-  // the burst phase happens to sit.
+  // Take the next n samples of the shaped stream first, then gate them:
+  // the stream advances by exactly n and the per-call power normalisation
+  // covers all n, never depending on where the burst phase happens to sit.
   dsp::cvec out = source_.generate(n);
   const float gain = static_cast<float>(burst_gain_);
   for (std::size_t i = 0; i < n; ++i) {

@@ -29,7 +29,8 @@ class DutyCycleJammer {
   /// Generate `n` samples. The burst phase is continuous across calls, so
   /// an on/off period can straddle a call boundary and the gap lands at
   /// exactly the same sample positions as in one long call. (The shaped
-  /// noise itself is normalised per call like every jammer here: the link
+  /// noise is one stream across calls but is normalised per call like
+  /// every jammer here, so splitting a call rescales its pieces: the link
   /// simulator draws one call per packet and replays the identical call
   /// sequence on resume, which is what its determinism rests on.)
   [[nodiscard]] dsp::cvec generate(std::size_t n);

@@ -1,5 +1,7 @@
 #include "jammer/noise_jammer.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 
@@ -15,21 +17,37 @@ NoiseJammer::NoiseJammer(double bandwidth_frac, std::uint64_t seed, std::size_t 
   if (bandwidth_frac < 1.0) {
     // Low-pass at half the two-sided bandwidth; complex baseband noise then
     // occupies [-bw/2, +bw/2].
-    const dsp::fvec taps =
-        dsp::design_lowpass(num_taps | 1, bandwidth_frac / 2.0, dsp::Window::blackman);
-    shaper_.emplace(dsp::cspan{dsp::to_complex(taps)});
+    const dsp::cvec taps = dsp::to_complex(
+        dsp::design_lowpass(num_taps | 1, bandwidth_frac / 2.0, dsp::Window::blackman));
+    // The smallest FFT whose block is at least as long as the history:
+    // 4096 (block 2048) for the default 2049 taps.
+    const std::size_t fft_size = std::bit_ceil(std::max<std::size_t>(2 * (taps.size() - 1), 2));
+    stream_.emplace(dsp::ConvolverPlan::make(dsp::cspan{taps}, fft_size));
+    // Prime the history with noise, so the stream has been running before
+    // the first burst; no block is buffered yet.
+    noise_.add_to(stream_->history(), 1.0);
+    cursor_ = stream_->block().size();
   }
 }
 
 dsp::cvec NoiseJammer::generate(std::size_t n) {
-  if (!shaper_.has_value()) return noise_.generate(n, 1.0);
+  if (!stream_.has_value()) return noise_.generate(n, 1.0);
 
-  // Generate with lead-in so the filter transient does not leave a quiet
-  // gap at the start of the jamming burst.
-  const std::size_t lead = shaper_->num_taps();
-  dsp::cvec raw = noise_.generate(n + lead, 1.0);
-  dsp::cvec shaped = shaper_->filter(raw);
-  dsp::cvec out(shaped.begin() + static_cast<std::ptrdiff_t>(lead), shaped.end());
+  dsp::cvec out(n);
+  const dsp::cspan_mut block = stream_->block();
+  for (std::size_t done = 0; done < n;) {
+    if (cursor_ == block.size()) {
+      std::fill(block.begin(), block.end(), dsp::cf{0.0F, 0.0F});
+      noise_.add_to(block, 1.0);
+      stream_->step();
+      cursor_ = 0;
+    }
+    const std::size_t take = std::min(n - done, block.size() - cursor_);
+    std::copy_n(block.begin() + static_cast<std::ptrdiff_t>(cursor_), take,
+                out.begin() + static_cast<std::ptrdiff_t>(done));
+    cursor_ += take;
+    done += take;
+  }
   dsp::scale_to_power(out, 1.0);
   return out;
 }

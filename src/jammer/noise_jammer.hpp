@@ -19,6 +19,12 @@
 namespace bhss::jammer {
 
 /// Fixed-bandwidth Gaussian noise jammer with unit output power.
+///
+/// Like the paper's Gaussian source feeding a low-pass filter, the jammer
+/// is one continuous filtered stream: successive `generate` calls hand out
+/// successive stretches of it, each rescaled to unit power. The shaping
+/// filter's history is primed with noise at construction, so the first
+/// call has no start-up transient either.
 class NoiseJammer {
  public:
   /// @param bandwidth_frac  occupied (two-sided) bandwidth as a fraction
@@ -33,7 +39,7 @@ class NoiseJammer {
   ///                        would.
   NoiseJammer(double bandwidth_frac, std::uint64_t seed, std::size_t num_taps = 2049);
 
-  /// Generate `n` samples of unit-power jamming noise.
+  /// The next `n` samples of the stream, scaled to unit mean power.
   [[nodiscard]] dsp::cvec generate(std::size_t n);
 
   [[nodiscard]] double bandwidth_frac() const noexcept { return bandwidth_frac_; }
@@ -41,7 +47,8 @@ class NoiseJammer {
  private:
   double bandwidth_frac_;
   channel::AwgnSource noise_;
-  std::optional<dsp::FftConvolver> shaper_;  ///< absent for full-band noise
+  std::optional<dsp::FftConvolver> stream_;  ///< shaping filter; absent for full-band noise
+  std::size_t cursor_ = 0;                   ///< first unread output in stream_->block()
 };
 
 /// The sources a bandwidth-switching jammer draws from: one NoiseJammer

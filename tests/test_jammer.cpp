@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <complex>
 #include <map>
+#include <vector>
 
 #include "dsp/psd.hpp"
 #include "dsp/utils.hpp"
@@ -48,6 +50,49 @@ TEST(NoiseJammer, FullBandIsWhite) {
   const dsp::fvec psd = dsp::welch_psd(x, 64);
   const double mean_bin = dsp::psd_total_power(psd) / 64.0;
   for (float p : psd) EXPECT_NEAR(p / mean_bin, 1.0, 0.4);
+}
+
+TEST(NoiseJammer, ChunkingOnlyRescales) {
+  // One continuous stream: splitting a call into pieces changes only each
+  // piece's unit-power scale. 2048 is the block of the default 2049-tap
+  // shaper, so the pieces start and end on and around block edges.
+  constexpr std::size_t block = 2048;
+  const std::vector<std::size_t> pieces = {1, 7, block - 1, block, block + 1, 3 * block + 5};
+  std::size_t total = 0;
+  for (const std::size_t len : pieces) total += len;
+  NoiseJammer whole_jam(0.25, 11);
+  const dsp::cvec whole = whole_jam.generate(total);
+  NoiseJammer split_jam(0.25, 11);
+  std::size_t pos = 0;
+  for (const std::size_t len : pieces) {
+    const dsp::cvec piece = split_jam.generate(len);
+    const dsp::cspan ref = dsp::cspan{whole}.subspan(pos, len);
+    // Least-squares real scale from the matching slice onto the piece.
+    double cross = 0.0;
+    double ref_energy = 0.0;
+    for (std::size_t i = 0; i < len; ++i) {
+      cross += std::real(std::conj(std::complex<double>{ref[i]}) * std::complex<double>{piece[i]});
+      ref_energy += std::norm(std::complex<double>{ref[i]});
+    }
+    const double scale = cross / ref_energy;
+    double residual = 0.0;
+    double energy = 0.0;
+    for (std::size_t i = 0; i < len; ++i) {
+      residual += std::norm(std::complex<double>{piece[i]} - scale * std::complex<double>{ref[i]});
+      energy += std::norm(std::complex<double>{piece[i]});
+    }
+    EXPECT_GT(scale, 0.0) << "piece of " << len;
+    EXPECT_LT(std::sqrt(residual / energy), 1e-5) << "piece of " << len;
+    pos += len;
+  }
+}
+
+TEST(NoiseJammer, FirstBurstHasNoTransientGap) {
+  // With an unprimed (zero) filter history the first ~1000 outputs would
+  // ramp up from silence through the 2049-tap shaper.
+  NoiseJammer jam(0.25, 12);
+  const dsp::cvec x = jam.generate(8192);
+  EXPECT_NEAR(dsp::mean_power(dsp::cspan{x}.first(256)), 1.0, 0.5);
 }
 
 TEST(NoiseJammer, RejectsBadBandwidth) {
@@ -117,6 +162,34 @@ TEST(ReactiveJammer, UnitPowerAcrossSwitches) {
   for (std::size_t h = 0; h < 8; ++h) hops.push_back({h * 2048, (h % 2) ? 0.5 : 1.0 / 32});
   const dsp::cvec x = jam.generate(hops, 8 * 2048);
   EXPECT_NEAR(dsp::mean_power(x), 1.0, 0.05);
+}
+
+TEST(ReactiveJammer, SubBlockSegmentsAreFiniteAndUnitPower) {
+  // 300-sample hops, 100 samples of estimation and no reaction delay: one
+  // segment per hop, each much shorter than a shaper's 2048-sample block,
+  // so every source is read across many calls from mid-block.
+  const std::vector<double> bws = {0.5, 0.125, 1.0 / 32};
+  constexpr std::size_t dwell = 300;
+  constexpr std::size_t estimation = 100;
+  constexpr std::size_t n_hops = 40;
+  constexpr std::size_t n = n_hops * dwell;
+  ReactiveJammer jam(bws, 0, 13, estimation);
+  std::vector<ObservedHop> hops;
+  std::vector<std::size_t> edges = {0};
+  for (std::size_t h = 0; h < n_hops; ++h) {
+    hops.push_back({h * dwell, bws[h % bws.size()]});
+    edges.push_back(h * dwell + estimation);
+  }
+  edges.push_back(n);
+  for (int call = 0; call < 2; ++call) {
+    const dsp::cvec x = jam.generate(hops, n);
+    ASSERT_EQ(x.size(), n);
+    for (std::size_t s = 0; s + 1 < edges.size(); ++s) {
+      const dsp::cspan seg = dsp::cspan{x}.subspan(edges[s], edges[s + 1] - edges[s]);
+      EXPECT_TRUE(dsp::all_finite(seg)) << "call " << call << " segment " << s;
+      EXPECT_NEAR(dsp::mean_power(seg), 1.0, 1e-4) << "call " << call << " segment " << s;
+    }
+  }
 }
 
 TEST(ReactiveJammer, RejectsEmptyBandwidths) {

@@ -183,12 +183,14 @@ TEST(GoldenTrace, ReactiveJammerFilterDecisions) {
   cfg.jammer.kind = core::JammerSpec::Kind::reactive;
   cfg.jammer.reaction_delay = 1024;
 
-  // Golden, pinned 2026-08 and re-recorded 2026-10 when AwgnSource moved
-  // to the owned Box–Muller transform (new noise bits): the per-hop filter
-  // decisions of 6 fixed-seed packets against the reactive jammer (packets
-  // that never achieved sync lock contribute no hops). Any control-logic,
-  // sync or DSP change that alters a single decision shows up here first.
-  const std::string golden = "eeeeee|eneeen|neeenn";
+  // Golden, pinned 2026-08 and re-recorded 2026-10 twice: when AwgnSource
+  // moved to the owned Box–Muller transform (new noise bits), and when the
+  // noise jammer became one continuous stream (new jammer bits). The
+  // per-hop filter decisions of 6 fixed-seed packets against the reactive
+  // jammer (packets that never achieved sync lock contribute no hops). Any
+  // control-logic, sync or DSP change that alters a single decision shows
+  // up here first.
+  const std::string golden = "eneene|eeeenn|eeenee|neeeen";
   EXPECT_EQ(decision_sequence(cfg, 6), golden);
 }
 
